@@ -41,7 +41,7 @@ from .lattice import (
     Solution,
     fix_nodes,
 )
-from .materials import Material, calibrate
+from .materials import PLANE_STRAIN, Material, calibrate
 
 UNIAXIAL = "uniaxial"
 PURE_SHEAR = "pure_shear"
@@ -163,12 +163,18 @@ def moment_to_linear_traction(moment: float, half_height: float, thickness: floa
 def analytical_field(case: BenchmarkCase) -> FieldEvaluator:
     """Closed-form displacement field of the case, vectorized over points.
 
+    The fields below are the plane-stress solutions; plane strain uses
+    them with E' = E / (1 - nu^2) and nu' = nu / (1 - nu), which leave
+    the shear modulus unchanged.
+
     Returns:
         Callable mapping coordinate arrays (x, y) to displacement arrays
         (u, v) in m.
     """
     E = case.material.young_modulus
     nu = case.material.poisson_ratio
+    if case.material.regime == PLANE_STRAIN:
+        E, nu = E / (1.0 - nu * nu), nu / (1.0 - nu)
 
     if case.kind == UNIAXIAL:
         sigma = case.load
@@ -199,7 +205,7 @@ def analytical_field(case: BenchmarkCase) -> FieldEvaluator:
 
         return field
 
-    # cantilever: plane-stress field with traction-free faces, zero normal
+    # cantilever: field with traction-free faces, zero normal
     # stress on the loaded end, and integral (weak) clamp conditions at
     # x = a; F is the end force per unit thickness.
     F = case.load
@@ -384,7 +390,6 @@ def run_case(
         try:
             solution = lattice.solve(reduced)
         except SingularSystemError as exc:
-            inertia = lattice.system_inertia(reduced)
             solutions.append(None)
             mesh_errors.append(
                 MeshError(
@@ -392,8 +397,8 @@ def run_case(
                     rel_l2=float("nan"),
                     max_abs=float("nan"),
                     profile_errors={},
-                    inertia=inertia,
-                    indefinite=inertia[0] > 0,
+                    inertia=exc.inertia,
+                    indefinite=bool(exc.inertia and exc.inertia[0] > 0),
                     failed=True,
                     failure=str(exc),
                 )

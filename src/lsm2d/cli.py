@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -255,8 +256,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = float(raw)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"invalid value for {key}: {raw!r}") from exc
-        if value <= 0.0:
-            raise UsageError(f"{key} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise UsageError(f"{key} must be positive and finite, got {value}")
         return value
 
     return RunConfig(
@@ -354,13 +355,11 @@ def cmd_eigen(config: RunConfig) -> int:
             for nu in config.nus:
                 material = Material(config.young_modulus, nu, config.thickness, config.regime)
                 case = benchmarks.make_case(
-                    kind,
-                    nu,
-                    young_modulus=config.young_modulus,
-                    thickness=config.thickness,
-                    mesh_sizes=((1, 1),),
+                    kind, nu, young_modulus=config.young_modulus, thickness=config.thickness
                 )
-                mesh = benchmarks.case_mesh(case, (1, 1))
+                # one square cell as tall as the plate; case_mesh would demand
+                # the plate's own aspect ratio and mesh parity
+                mesh = lattice.build_mesh(lattice.LatticeSpec(1, 1, cell_size=case.height))
                 system = lattice.assemble(mesh, cell_matrix(calibrate(material, model)))
                 reduced = lattice.apply_constraints(
                     system, benchmarks.case_constraints(case, mesh)

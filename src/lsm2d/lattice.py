@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 EDGES = ("left", "right", "bottom", "top")
 
@@ -32,7 +31,14 @@ LINEAR = "linear"
 
 
 class SingularSystemError(RuntimeError):
-    """Reduced system could not be solved to the required residual."""
+    """Reduced system could not be solved to the required residual.
+
+    ``inertia`` is that of the failed factor; None if splu itself raised.
+    """
+
+    def __init__(self, message: str, inertia: tuple[int, int, int] | None = None):
+        super().__init__(message)
+        self.inertia = inertia
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,10 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"nx and ny must be >= 1, got {self.nx}x{self.ny}")
-        if self.cell_size <= 0.0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        if not (np.isfinite(self.cell_size) and self.cell_size > 0.0):
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def particle_radius(self) -> float:
@@ -120,6 +128,8 @@ class EdgeTraction:
             raise ValueError(f"profile must be uniform or linear, got {self.profile!r}")
         if not np.isfinite(self.magnitude):
             raise ValueError("traction magnitude must be finite")
+        if len(self.direction) != 2 or not np.all(np.isfinite(self.direction)):
+            raise ValueError(f"direction must be two finite values, got {self.direction}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,11 @@ class LoadSpec:
 
     point_forces: tuple[tuple[int, tuple[float, float]], ...] = ()
     edge_tractions: tuple[EdgeTraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        for node, force in self.point_forces:
+            if len(force) != 2 or not np.all(np.isfinite(force)):
+                raise ValueError(f"point force on node {node} must be two finite values")
 
 
 @dataclass(frozen=True)
@@ -198,7 +213,8 @@ class Solution:
         u: full DOF vector in m, prescribed values re-inserted.
         residual: ||K u - rhs|| of the reduced solve, in N.
         inertia: (negative, zero, positive) pivot counts of the reduced
-            matrix, or None when not computed.
+            matrix, or None when not computed or when the factor pivoted
+            off the diagonal.
         indefinite: True when the reduced matrix has negative pivots.
     """
 
@@ -283,8 +299,11 @@ def apply_loads(
     Returns:
         New GlobalSystem sharing the stiffness, with updated forces.
     """
-    if thickness <= 0.0:
-        raise ValueError(f"thickness must be positive, got {thickness}")
+    if not (np.isfinite(thickness) and thickness > 0.0):
+        raise ValueError(f"thickness must be positive and finite, got {thickness}")
+    for node, _ in loads.point_forces:
+        if not 0 <= node < mesh.n_particles:
+            raise ValueError(f"point force on node {node} outside the lattice")
     forces = system.forces.copy()
     l = mesh.spec.cell_size
     for traction in loads.edge_tractions:
@@ -330,44 +349,28 @@ def apply_constraints(system: GlobalSystem, constraints: Constraints) -> Reduced
     )
 
 
-def _block_diag_inertia(d: np.ndarray) -> tuple[int, int, int]:
-    # d is block diagonal with 1x1 and symmetric 2x2 blocks
-    n = d.shape[0]
-    pivots: list[float] = []
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            pivots.extend(np.linalg.eigvalsh(d[i : i + 2, i : i + 2]))
-            i += 2
-        else:
-            pivots.append(d[i, i])
-            i += 1
-    arr = np.array(pivots)
-    scale = np.abs(arr).max() if arr.size else 0.0
-    cutoff = 1e-12 * scale
-    neg = int(np.sum(arr < -cutoff))
-    pos = int(np.sum(arr > cutoff))
-    return neg, arr.size - neg - pos, pos
-
-
-def system_inertia(reduced: ReducedSystem) -> tuple[int, int, int]:
-    """(negative, zero, positive) pivot counts of the reduced matrix.
-
-    Computed from a symmetric indefinite factorization; the negative
-    count is the number of negative eigenvalues by Sylvester's law.
-    """
-    dense = reduced.matrix.toarray()
-    _, d, _ = scipy.linalg.ldl(dense)
-    return _block_diag_inertia(d)
+def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:
+    # Sylvester's law: with one symmetric permutation, P A P^T = L D L^T
+    # and the diagonal of U is D; any row interchange voids that
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        return None
+    pivots = factor.U.diagonal()
+    cutoff = 1e-12 * np.abs(pivots).max() if pivots.size else 0.0
+    neg = int(np.sum(pivots < -cutoff))
+    pos = int(np.sum(pivots > cutoff))
+    return neg, pivots.size - neg - pos, pos
 
 
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
+    One factorization, with a symmetric ordering and diagonal pivots, so
+    its pivot signs are the inertia.
+
     Args:
         reduced: system after constraint elimination.
-        compute_inertia: also factorize symmetrically to count negative
-            pivots; skip for speed when stability is known.
+        compute_inertia: also count the pivot signs; skip to avoid
+            copying the factor when stability is known.
 
     Returns:
         Solution with the full displacement vector (prescribed DOFs
@@ -379,12 +382,18 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
     try:
-        factor = splu(reduced.matrix.tocsc())
-        u_free = factor.solve(reduced.rhs)
+        factor = splu(
+            reduced.matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:  # singular factorization
         raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
+    inertia = _pivot_inertia(factor) if compute_inertia else None
+    u_free = factor.solve(reduced.rhs)
     if not np.all(np.isfinite(u_free)):
-        raise SingularSystemError("stiffness matrix is singular: non-finite solution")
+        raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)
     residual = float(np.linalg.norm(reduced.matrix @ u_free - reduced.rhs))
     if residual > 1e-10 * rhs_norm:
         # one step of iterative refinement rescues marginal conditioning
@@ -393,9 +402,9 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
         if residual > 1e-10 * rhs_norm:
             raise SingularSystemError(
                 f"solve failed: residual {residual:.3e} exceeds tolerance "
-                f"{1e-10 * rhs_norm:.3e} (near-singular or severely indefinite)"
+                f"{1e-10 * rhs_norm:.3e} (near-singular or severely indefinite)",
+                inertia,
             )
-    inertia = system_inertia(reduced) if compute_inertia else None
     u = np.zeros(reduced.n_dofs)
     u[reduced.free] = u_free
     if reduced.fixed.size:

@@ -17,6 +17,7 @@ of the Born model's instability beyond those values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 BORN = "born"
@@ -45,10 +46,12 @@ class Material:
     regime: str = PLANE_STRESS
 
     def __post_init__(self) -> None:
-        if self.young_modulus <= 0.0:
-            raise ValueError(f"young_modulus must be positive, got {self.young_modulus}")
-        if self.thickness <= 0.0:
-            raise ValueError(f"thickness must be positive, got {self.thickness}")
+        if not (math.isfinite(self.young_modulus) and self.young_modulus > 0.0):
+            raise ValueError(
+                f"young_modulus must be positive and finite, got {self.young_modulus}"
+            )
+        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
+            raise ValueError(f"thickness must be positive and finite, got {self.thickness}")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError(
                 f"poisson_ratio must lie in [0, 0.5), got {self.poisson_ratio}"

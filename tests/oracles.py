@@ -166,3 +166,16 @@ def plane_stress_field_stresses(field, E: float, nu: float, x, y, step: float = 
     sigma_yy = f * (e_yy + nu * e_xx)
     sigma_xy = E / (2.0 * (1.0 + nu)) * gamma
     return sigma_xx, sigma_yy, sigma_xy
+
+
+def eigenvalue_inertia(matrix) -> tuple[int, int, int]:
+    """(negative, zero, positive) eigenvalue counts of a sparse symmetric matrix.
+
+    Dense symmetric eigensolve, independent of any factorization; the
+    zero band is 1e-12 of the largest |eigenvalue|.
+    """
+    eigenvalues = np.linalg.eigvalsh(matrix.toarray())
+    cutoff = 1e-12 * np.abs(eigenvalues).max() if eigenvalues.size else 0.0
+    neg = int(np.sum(eigenvalues < -cutoff))
+    pos = int(np.sum(eigenvalues > cutoff))
+    return neg, eigenvalues.size - neg - pos, pos

@@ -6,6 +6,7 @@ pass means the implementation agrees with independent ground truth, not
 with itself. Budgeted runtimes are asserted where the claim includes one.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -271,3 +272,27 @@ def test_criterion_8_matrices_match_per_bond_energy_hessians():
             worst = max(worst, err)
             assert err <= 1e-6, stiffness
     print(f"criterion 8 PASS: worst relative deviation {worst:.3e}")
+
+
+def test_criterion_9_both_regimes_exact_and_convergent():
+    def in_regime(case, regime):
+        return dataclasses.replace(
+            case, material=dataclasses.replace(case.material, regime=regime)
+        )
+
+    worst = 0.0
+    for regime in REGIMES:
+        for nu in BENCH_NUS:
+            # affine fields: exact at every particle on every mesh
+            for build, models in ((uniaxial_case, MODELS), (pure_shear_case, (MODIFIED,))):
+                for model in models:
+                    _, report = run_case(in_regime(build(nu), regime), model)
+                    for row in report.mesh_errors:
+                        worst = max(worst, row.rel_l2)
+                        assert row.rel_l2 <= 1e-9, (regime, build.__name__, model, nu)
+    # quadratic and cubic fields: monotone refinement in plane strain too
+    for build in (pure_bending_case, cantilever_case):
+        for nu in BENCH_NUS:
+            study = convergence_study(in_regime(build(nu), PLANE_STRAIN), MODIFIED)
+            assert study.strictly_decreasing, (build.__name__, nu)
+    print(f"criterion 9 PASS: affine worst {worst:.3e} in both regimes")

@@ -21,6 +21,7 @@ from lsm2d import (
     BenchmarkCase,
     ConvergenceStudy,
     Material,
+    SingularSystemError,
     analytical_field,
     cantilever_case,
     case_constraints,
@@ -275,6 +276,28 @@ class TestConvergence:
         for row in report.mesh_errors:
             assert row.indefinite
             assert row.inertia[0] > 0
+
+    def test_verdict_past_the_dense_size_limit(self):
+        # 33,280 free DOFs: a dense copy would take 8.9 GB, the factor does not
+        size = (256, 64)
+        _, stable = run_case(cantilever_case(0.3, mesh_sizes=(size,)), MODIFIED)
+        _, unstable = run_case(cantilever_case(0.45, mesh_sizes=(size,)), BORN)
+        assert stable.mesh_errors[0].inertia == (0, 0, 33280)
+        assert not stable.mesh_errors[0].indefinite
+        assert unstable.mesh_errors[0].inertia[0] > 0
+        assert unstable.mesh_errors[0].indefinite
+
+    def test_failed_mesh_reports_the_inertia_of_its_own_factor(self, monkeypatch):
+        def failing_solve(reduced, compute_inertia=True):
+            raise SingularSystemError("injected failure", (2, 0, 10))
+
+        monkeypatch.setattr("lsm2d.lattice.solve", failing_solve)
+        solutions, report = run_case(uniaxial_case(0.3, mesh_sizes=((2, 2),)), MODIFIED)
+        row = report.mesh_errors[0]
+        assert solutions == [None]
+        assert row.failed and row.failure == "injected failure"
+        assert row.inertia == (2, 0, 10)
+        assert row.indefinite
 
     def test_bending_supports_exact(self):
         case = pure_bending_case(0.3, mesh_sizes=((16, 4),))

@@ -1,13 +1,22 @@
 """Mesh, assembly, load lumping, constraint and solver tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 import lsm2d
 from lsm2d import (
     BORN,
+    CASE_KINDS,
     LINEAR,
     MODIFIED,
+    PLANE_STRAIN,
+    PLANE_STRESS,
+    PURE_SHEAR,
+    REGIMES,
+    UNIAXIAL,
     UNIFORM,
     Constraints,
     EdgeTraction,
@@ -21,12 +30,15 @@ from lsm2d import (
     assemble,
     build_mesh,
     calibrate,
+    case_constraints,
+    case_loads,
+    case_mesh,
     cell_matrix,
     constrained_spectrum,
     fix_nodes,
     solve,
-    system_inertia,
 )
+from oracles import eigenvalue_inertia
 
 
 def make_system(nx, ny, stiffness, cell_size=1.0, origin=(0.0, 0.0)):
@@ -40,6 +52,17 @@ def born_set(kn1=2.0, ks1=1.0, kn2=3.0):
 
 def modified_set(kn1=2.0, ks1=1.0, kn2=3.0):
     return StiffnessSet(MODIFIED, kn1, ks1, kn2)
+
+
+def case_system(kind, model, nu, regime):
+    """Reduced system of a benchmark case on its smallest mesh (2x2 or 8x2)."""
+    size = (2, 2) if kind in (UNIAXIAL, PURE_SHEAR) else (8, 2)
+    case = lsm2d.make_case(kind, nu, mesh_sizes=(size,))
+    material = dataclasses.replace(case.material, regime=regime)
+    mesh = case_mesh(case, size)
+    system = assemble(mesh, cell_matrix(calibrate(material, model)))
+    system = apply_loads(system, mesh, case_loads(case), material.thickness)
+    return apply_constraints(system, case_constraints(case, mesh))
 
 
 class TestBuildMesh:
@@ -91,6 +114,14 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             LatticeSpec(1, 1, 0.0)
         assert LatticeSpec(1, 1, 0.5).particle_radius == 0.25
+
+    @pytest.mark.parametrize(
+        "cell_size,origin",
+        [(float("nan"), (0.0, 0.0)), (float("inf"), (0.0, 0.0)), (1.0, (float("nan"), 0.0))],
+    )
+    def test_spec_rejects_non_finite(self, cell_size, origin):
+        with pytest.raises(ValueError):
+            LatticeSpec(1, 1, cell_size, origin)
 
 
 class TestAssemble:
@@ -230,6 +261,20 @@ class TestApplyLoads:
         with pytest.raises(ValueError):
             EdgeTraction("top", UNIFORM, float("nan"), (1.0, 0.0))
 
+    def test_traction_direction_must_be_finite(self):
+        with pytest.raises(ValueError):
+            EdgeTraction("top", UNIFORM, 1.0, (float("nan"), 0.0))
+        with pytest.raises(ValueError):
+            EdgeTraction("top", UNIFORM, 1.0, (1.0, float("inf")))
+
+    def test_point_forces_finite_and_on_the_lattice(self):
+        with pytest.raises(ValueError):
+            LoadSpec(point_forces=((0, (float("nan"), 0.0)),))
+        mesh, system = make_system(1, 1, born_set())
+        for node in (-1, mesh.n_particles):
+            with pytest.raises(ValueError):
+                apply_loads(system, mesh, LoadSpec(point_forces=((node, (1.0, 0.0)),)), 1.0)
+
 
 class TestConstraints:
     def test_duplicate_dof_rejected(self):
@@ -341,8 +386,11 @@ class TestSolve:
         forces[0::2] = 1.0  # net thrust along the free translation
         system = lsm2d.GlobalSystem(stiffness=system.stiffness, forces=forces)
         reduced = apply_constraints(system, Constraints.from_pairs([]))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError) as info:
             solve(reduced)
+        # the failure carries the inertia of its own factor: two free
+        # translations (rotation costs the Born cell energy)
+        assert info.value.inertia == (0, 2, 16)
 
     def test_indefinite_system_solves_with_flag(self):
         # Born model past its stability threshold: factorizable but
@@ -357,7 +405,48 @@ class TestSolve:
         solution = solve(reduced)
         assert solution.indefinite
         assert solution.inertia[0] > 0
-        assert system_inertia(reduced)[0] == solution.inertia[0]
+        assert eigenvalue_inertia(reduced.matrix)[0] == solution.inertia[0]
+
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize(
+        "model,nu",
+        [(BORN, 0.2), (BORN, 0.45), (BORN, 0.49), (MODIFIED, 0.3), (MODIFIED, 0.49)],
+    )
+    def test_pivot_inertia_matches_eigenvalue_count(self, kind, regime, model, nu):
+        reduced = case_system(kind, model, nu, regime)
+        solution = solve(reduced)
+        assert solution.inertia == eigenvalue_inertia(reduced.matrix)
+        assert solution.indefinite == (solution.inertia[0] > 0)
+
+    def test_off_diagonal_pivot_reports_no_inertia(self):
+        # SuperLU must swap rows to avoid the zero diagonal, so the pivot
+        # signs (0, 0, 3) are not the inertia (1, 0, 2); solve, but say so
+        matrix = scipy.sparse.csr_matrix(
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        )
+        reduced = lsm2d.ReducedSystem(
+            matrix=matrix,
+            rhs=np.array([1.0, 2.0, 3.0]),
+            free=np.arange(3),
+            fixed=np.array([], dtype=int),
+            fixed_values=np.array([]),
+            n_dofs=3,
+        )
+        assert eigenvalue_inertia(matrix) == (1, 0, 2)
+        solution = solve(reduced)
+        np.testing.assert_allclose(solution.u, [2.0, 1.0, 1.5], rtol=1e-15)
+        assert solution.inertia is None
+        assert not solution.indefinite
+
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    @pytest.mark.parametrize("regime,nu", [(PLANE_STRESS, 1.0 / 3.0), (PLANE_STRAIN, 0.25)])
+    def test_born_at_threshold_is_positive_definite(self, kind, regime, nu):
+        assert calibrate(Material(2e11, nu, 0.01, regime), BORN).k_s1 == 0.0
+        reduced = case_system(kind, BORN, nu, regime)
+        solution = solve(reduced)
+        assert solution.inertia == (0, 0, reduced.matrix.shape[0])
+        assert not solution.indefinite
 
 
 class TestConstrainedSpectrum:

@@ -41,6 +41,13 @@ class TestMaterialValidation:
         with pytest.raises(ValueError):
             Material(young_modulus=1.0, poisson_ratio=0.3, thickness=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_modulus_and_thickness(self, value):
+        with pytest.raises(ValueError):
+            Material(young_modulus=value, poisson_ratio=0.3, thickness=1.0)
+        with pytest.raises(ValueError):
+            Material(young_modulus=1.0, poisson_ratio=0.3, thickness=value)
+
     def test_rejects_poisson_ratio_outside_range(self):
         with pytest.raises(ValueError):
             Material(young_modulus=1.0, poisson_ratio=-0.01, thickness=1.0)
