@@ -10,6 +10,9 @@ stiffness, while boundary edges keep their single half contribution.
 Dirichlet data is imposed by eliminating constrained DOFs (rows and
 columns removed, right-hand side corrected), never by penalties, so the
 spectrum of the reduced matrix is the physical constrained spectrum. The
+free DOFs come out in geometric nested-dissection order: one row or column
+of particles separates the grid, so the order follows from nx and ny alone,
+and the reduced matrix is factored as given, with no further ordering. The
 solver reports the inertia (negative pivot count) of the reduced matrix
 because intentionally indefinite systems are part of the workflow: they
 factorize and solve, but the result must carry an instability flag.
@@ -17,7 +20,7 @@ factorize and solve, but the result must carry an instability flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,13 +99,13 @@ class Mesh:
         """Particle indices along one boundary edge, ordered along it."""
         nx, ny = self.spec.nx, self.spec.ny
         if edge == "left":
-            return np.array([self.node_index(0, iy) for iy in range(ny + 1)])
+            return np.arange(ny + 1) * (nx + 1)
         if edge == "right":
-            return np.array([self.node_index(nx, iy) for iy in range(ny + 1)])
+            return np.arange(ny + 1) * (nx + 1) + nx
         if edge == "bottom":
-            return np.array([self.node_index(ix, 0) for ix in range(nx + 1)])
+            return np.arange(nx + 1)
         if edge == "top":
-            return np.array([self.node_index(ix, ny) for ix in range(nx + 1)])
+            return np.arange(nx + 1) + ny * (nx + 1)
         raise ValueError(f"edge must be one of {EDGES}, got {edge!r}")
 
 
@@ -183,10 +186,15 @@ def fix_nodes(nodes: Sequence[int], directions: str, value: float = 0.0) -> list
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled sparse stiffness matrix with its force vector."""
+    """Assembled sparse stiffness matrix with its force vector.
+
+    ``order`` is the elimination order of all DOFs; constraint elimination
+    keeps the free ones in it, and the factorization uses it as given.
+    """
 
     stiffness: scipy.sparse.csr_matrix
     forces: np.ndarray
+    order: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -216,12 +224,14 @@ class Solution:
             matrix, or None when not computed or when the factor pivoted
             off the diagonal.
         indefinite: True when the reduced matrix has negative pivots.
+        factor_nnz: stored entries of the factor, nnz(L+U); its fill-in.
     """
 
     u: np.ndarray
     residual: float
     inertia: tuple[int, int, int] | None
     indefinite: bool
+    factor_nnz: int
 
     @property
     def displacements(self) -> np.ndarray:
@@ -238,15 +248,41 @@ def build_mesh(spec: LatticeSpec) -> Mesh:
     ys = oy + l * np.arange(ny + 1)
     gx, gy = np.meshgrid(xs, ys)  # row-major: iy varies slowest
     positions = np.column_stack([gx.ravel(), gy.ravel()])
-    cells = np.empty((nx * ny, 4), dtype=int)
-    c = 0
-    for iy in range(ny):
-        base = iy * (nx + 1)
-        for ix in range(nx):
-            a = base + ix
-            cells[c] = (a, a + 1, a + nx + 2, a + nx + 1)
-            c += 1
+    # lower-left particle of each cell, cells numbered row by row
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    cells = np.column_stack([a, a + 1, a + nx + 2, a + nx + 1])
     return Mesh(spec=spec, positions=positions, cells=cells)
+
+
+def _dissect(grid: np.ndarray, blocks: list[np.ndarray]) -> None:
+    # module level on purpose: a recursive closure is a reference cycle,
+    # which keeps its blocks alive until the cyclic collector runs
+    rows, cols = grid.shape
+    if max(rows, cols) < 3:
+        blocks.append(grid.ravel())
+    elif cols >= rows:
+        _dissect(grid[:, : cols // 2], blocks)
+        _dissect(grid[:, cols // 2 + 1 :], blocks)
+        blocks.append(grid[:, cols // 2])
+    else:
+        _dissect(grid[: rows // 2], blocks)
+        _dissect(grid[rows // 2 + 1 :], blocks)
+        blocks.append(grid[rows // 2])
+
+
+def _nested_dissection(nx: int, ny: int) -> np.ndarray:
+    """DOF order of an (nx+1) x (ny+1) particle grid by nested dissection.
+
+    Every bond joins adjacent particle rows or columns, so one full row or
+    column of particles separates the grid. Each block is split at the
+    middle line of its longer side; the two halves are numbered first and
+    the separator last, down to blocks whose sides hold fewer than 3
+    particles. A particle's x and y DOFs stay adjacent.
+    """
+    blocks: list[np.ndarray] = []
+    _dissect(np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1), blocks)
+    particles = np.concatenate(blocks)
+    return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
 def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
@@ -254,7 +290,8 @@ def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
 
     Every cell of a uniform lattice shares the same matrix, so the data
     array is a tile; duplicate entries are summed on conversion, which
-    restores full stiffness on shared edge bonds.
+    restores full stiffness on shared edge bonds. The system carries the
+    grid's nested-dissection order for the factorization.
     """
     cell_matrix = np.asarray(cell_matrix, dtype=float)
     if cell_matrix.shape != (8, 8):
@@ -269,7 +306,11 @@ def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
     stiffness = scipy.sparse.coo_matrix(
         (data, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs)
     ).tocsr()
-    return GlobalSystem(stiffness=stiffness, forces=np.zeros(mesh.n_dofs))
+    return GlobalSystem(
+        stiffness=stiffness,
+        forces=np.zeros(mesh.n_dofs),
+        order=_nested_dissection(mesh.spec.nx, mesh.spec.ny),
+    )
 
 
 def _traction_profile(traction: EdgeTraction, coords: np.ndarray) -> np.ndarray:
@@ -297,7 +338,8 @@ def apply_loads(
         thickness: plate thickness t in m.
 
     Returns:
-        New GlobalSystem sharing the stiffness, with updated forces.
+        New GlobalSystem sharing the stiffness and order, with updated
+        forces.
     """
     if not (np.isfinite(thickness) and thickness > 0.0):
         raise ValueError(f"thickness must be positive and finite, got {thickness}")
@@ -320,25 +362,27 @@ def apply_loads(
     for node, (fx, fy) in loads.point_forces:
         forces[2 * node] += fx
         forces[2 * node + 1] += fy
-    return GlobalSystem(stiffness=system.stiffness, forces=forces)
+    return replace(system, forces=forces)
 
 
 def apply_constraints(system: GlobalSystem, constraints: Constraints) -> ReducedSystem:
     """Eliminate constrained DOFs from the system.
 
     Rows and columns of constrained DOFs are removed; inhomogeneous
-    values are moved to the right-hand side.
+    values are moved to the right-hand side. The free DOFs keep the
+    system's order, so the reduced matrix comes out already permuted for
+    the factorization.
     """
     n = system.forces.shape[0]
     fixed = constraints.dofs
     if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
         raise ValueError("constraint references a DOF outside the system")
-    free = np.setdiff1d(np.arange(n), fixed)
-    stiffness = system.stiffness.tocsr()
-    matrix = stiffness[free][:, free].tocsr()
+    free = system.order[~np.isin(system.order, fixed)]
+    rows = system.stiffness.tocsr()[free]
+    matrix = rows[:, free].tocsr()
     rhs = system.forces[free]
     if fixed.size and np.any(constraints.values != 0.0):
-        rhs = rhs - stiffness[free][:, fixed] @ constraints.values
+        rhs = rhs - rows[:, fixed] @ constraints.values
     return ReducedSystem(
         matrix=matrix,
         rhs=rhs,
@@ -364,8 +408,9 @@ def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
-    One factorization, with a symmetric ordering and diagonal pivots, so
-    its pivot signs are the inertia.
+    One factorization, with diagonal pivots so that its pivot signs are the
+    inertia. The matrix is factored in the order it comes in: a lattice's
+    reduced DOFs are already in nested-dissection order (see ``assemble``).
 
     Args:
         reduced: system after constraint elimination.
@@ -384,7 +429,7 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     try:
         factor = splu(
             reduced.matrix.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
@@ -414,6 +459,7 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
         residual=residual,
         inertia=inertia,
         indefinite=bool(inertia and inertia[0] > 0),
+        factor_nnz=int(factor.nnz),
     )
 
 

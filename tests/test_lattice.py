@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.sparse.linalg import splu
 
 import lsm2d
 from lsm2d import (
     BORN,
+    CANTILEVER,
     CASE_KINDS,
     LINEAR,
     MODIFIED,
@@ -38,6 +40,7 @@ from lsm2d import (
     fix_nodes,
     solve,
 )
+from lsm2d.lattice import _nested_dissection
 from oracles import eigenvalue_inertia
 
 
@@ -54,15 +57,35 @@ def modified_set(kn1=2.0, ks1=1.0, kn2=3.0):
     return StiffnessSet(MODIFIED, kn1, ks1, kn2)
 
 
-def case_system(kind, model, nu, regime):
-    """Reduced system of a benchmark case on its smallest mesh (2x2 or 8x2)."""
-    size = (2, 2) if kind in (UNIAXIAL, PURE_SHEAR) else (8, 2)
+def loaded_case(kind, model, nu, regime, size):
+    """Loaded global system of a benchmark case on one mesh, with its constraints."""
     case = lsm2d.make_case(kind, nu, mesh_sizes=(size,))
     material = dataclasses.replace(case.material, regime=regime)
     mesh = case_mesh(case, size)
     system = assemble(mesh, cell_matrix(calibrate(material, model)))
     system = apply_loads(system, mesh, case_loads(case), material.thickness)
-    return apply_constraints(system, case_constraints(case, mesh))
+    return system, case_constraints(case, mesh)
+
+
+def case_system(kind, model, nu, regime):
+    """Reduced system of a benchmark case on its smallest mesh (2x2 or 8x2)."""
+    size = (2, 2) if kind in (UNIAXIAL, PURE_SHEAR) else (8, 2)
+    return apply_constraints(*loaded_case(kind, model, nu, regime, size))
+
+
+def natural_order(system):
+    """The same system with its DOFs in natural order, for the oracle factor."""
+    return dataclasses.replace(system, order=np.arange(system.forces.size))
+
+
+def mmd_factor(reduced):
+    """Oracle factor: SuperLU's minimum-degree ordering of A + A^T, diagonal pivots."""
+    return splu(
+        reduced.matrix.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 class TestBuildMesh:
@@ -107,6 +130,24 @@ class TestBuildMesh:
         np.testing.assert_array_equal(mesh.edge_nodes("right"), [2, 5, 8])
         with pytest.raises(ValueError):
             mesh.edge_nodes("front")
+
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (8, 2), (64, 16)])
+    def test_connectivity_matches_cell_formula(self, nx, ny):
+        mesh = build_mesh(LatticeSpec(nx, ny, 1.0))
+        lower_left = [iy * (nx + 1) + ix for iy in range(ny) for ix in range(nx)]
+        cells = np.array([(a, a + 1, a + nx + 2, a + nx + 1) for a in lower_left])
+        assert mesh.cells.dtype == cells.dtype
+        np.testing.assert_array_equal(mesh.cells, cells)
+        edges = {
+            "left": [(0, iy) for iy in range(ny + 1)],
+            "right": [(nx, iy) for iy in range(ny + 1)],
+            "bottom": [(ix, 0) for ix in range(nx + 1)],
+            "top": [(ix, ny) for ix in range(nx + 1)],
+        }
+        for edge, points in edges.items():
+            nodes = np.array([mesh.node_index(ix, iy) for ix, iy in points])
+            assert mesh.edge_nodes(edge).dtype == nodes.dtype
+            np.testing.assert_array_equal(mesh.edge_nodes(edge), nodes)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -191,6 +232,53 @@ class TestAssemble:
         mesh, system = make_system(2, 2, born_set())
         assert system.forces.shape == (mesh.n_dofs,)
         assert np.all(system.forces == 0.0)
+
+
+class TestNestedDissection:
+    def test_four_by_one_grid(self):
+        # 2 x 5 particles: the middle column (2, 7) separates the two 2 x 2
+        # halves and is numbered last
+        particles = [0, 1, 5, 6, 3, 4, 8, 9, 2, 7]
+        expected = np.ravel([(2 * p, 2 * p + 1) for p in particles])
+        np.testing.assert_array_equal(_nested_dissection(4, 1), expected)
+
+    def test_order_is_a_permutation_with_paired_dofs(self):
+        for nx in range(1, 41):
+            for ny in range(1, 41):
+                order = _nested_dissection(nx, ny)
+                np.testing.assert_array_equal(np.sort(order), np.arange(2 * (nx + 1) * (ny + 1)))
+                assert np.all(order[0::2] % 2 == 0)
+                np.testing.assert_array_equal(order[1::2], order[0::2] + 1)
+                # the first separator is the middle line across the longer side
+                grid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+                if max(nx, ny) >= 2:
+                    middle = grid[:, (nx + 1) // 2] if nx >= ny else grid[(ny + 1) // 2]
+                    np.testing.assert_array_equal(order[-2 * middle.size :: 2], 2 * middle)
+
+    def test_order_travels_to_the_reduced_system(self):
+        mesh, system = make_system(5, 3, modified_set())
+        np.testing.assert_array_equal(system.order, _nested_dissection(5, 3))
+        loads = LoadSpec(point_forces=((7, (1.0, 2.0)),))
+        loaded = apply_loads(system, mesh, loads, thickness=0.01)
+        assert loaded.order is system.order
+        pairs = fix_nodes(mesh.edge_nodes("bottom"), "xy") + [(2 * 23, 0.5)]
+        reduced = apply_constraints(loaded, Constraints.from_pairs(pairs))
+        fixed = [dof for dof, _ in pairs]
+        np.testing.assert_array_equal(reduced.free, [d for d in system.order if d not in fixed])
+        K = system.stiffness.toarray()
+        np.testing.assert_array_equal(
+            reduced.matrix.toarray(), K[np.ix_(reduced.free, reduced.free)]
+        )
+        np.testing.assert_array_equal(
+            reduced.rhs, loaded.forces[reduced.free] - 0.5 * K[reduced.free, 2 * 23]
+        )
+
+    def test_natural_order_is_kept(self):
+        mesh, system = make_system(2, 2, born_set())
+        natural = dataclasses.replace(system, order=np.arange(mesh.n_dofs))
+        pairs = fix_nodes(mesh.edge_nodes("bottom"), "xy")
+        reduced = apply_constraints(natural, Constraints.from_pairs(pairs))
+        np.testing.assert_array_equal(reduced.free, np.arange(6, 18))
 
 
 class TestApplyLoads:
@@ -347,7 +435,7 @@ class TestSolve:
         constraints = Constraints.from_pairs(pairs)
 
         def solve_for(forces):
-            loaded = lsm2d.GlobalSystem(stiffness=system.stiffness, forces=forces)
+            loaded = dataclasses.replace(system, forces=forces)
             return solve(apply_constraints(loaded, constraints)).u
 
         f1 = rng.normal(size=mesh.n_dofs) * 1e5
@@ -384,7 +472,7 @@ class TestSolve:
         mesh, system = make_system(2, 2, born_set())
         forces = np.zeros(mesh.n_dofs)
         forces[0::2] = 1.0  # net thrust along the free translation
-        system = lsm2d.GlobalSystem(stiffness=system.stiffness, forces=forces)
+        system = dataclasses.replace(system, forces=forces)
         reduced = apply_constraints(system, Constraints.from_pairs([]))
         with pytest.raises(SingularSystemError) as info:
             solve(reduced)
@@ -447,6 +535,33 @@ class TestSolve:
         solution = solve(reduced)
         assert solution.inertia == (0, 0, reduced.matrix.shape[0])
         assert not solution.indefinite
+
+
+class TestFactorOrdering:
+    """The nested-dissection factor against SuperLU's minimum-degree one."""
+
+    def test_less_fill_than_minimum_degree(self):
+        system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (256, 64))
+        solution = solve(apply_constraints(system, constraints), compute_inertia=False)
+        natural = apply_constraints(natural_order(system), constraints)
+        assert solution.factor_nnz <= 0.9 * mmd_factor(natural).nnz
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_indefinite_born_matches_minimum_degree(self, regime):
+        system, constraints = loaded_case(CANTILEVER, BORN, 0.45, regime, (64, 16))
+        solution = solve(apply_constraints(system, constraints))
+        natural = apply_constraints(natural_order(system), constraints)
+        factor = mmd_factor(natural)
+        np.testing.assert_array_equal(factor.perm_r, factor.perm_c)
+        pivots = factor.U.diagonal()
+        cutoff = 1e-12 * np.abs(pivots).max()
+        neg, pos = int(np.sum(pivots < -cutoff)), int(np.sum(pivots > cutoff))
+        assert neg > 0
+        assert solution.inertia == (neg, pivots.size - neg - pos, pos)
+        u = np.zeros(natural.n_dofs)
+        u[natural.free] = factor.solve(natural.rhs)
+        np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+        assert solution.factor_nnz >= natural.matrix.nnz
 
 
 class TestConstrainedSpectrum:
