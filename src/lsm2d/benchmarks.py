@@ -24,8 +24,10 @@ as origin.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .lattice import (
     Solution,
     fix_nodes,
 )
-from .materials import PLANE_STRAIN, Material, calibrate
+from .materials import PLANE_STRAIN, PLANE_STRESS, Material, calibrate
 
 UNIAXIAL = "uniaxial"
 PURE_SHEAR = "pure_shear"
@@ -91,61 +93,56 @@ class BenchmarkCase:
         return 0.5 * self.height
 
 
-def uniaxial_case(
-    poisson_ratio: float = 0.3,
+# plate length and height in m, default load and mesh ladder of each kind
+_PLATES = {
+    UNIAXIAL: (0.2, 0.2, 1e8, SQUARE_MESHES),
+    PURE_SHEAR: (0.2, 0.2, 1e8, SQUARE_MESHES),
+    PURE_BENDING: (0.5, 0.125, 2604.17, SLENDER_MESHES),
+    CANTILEVER: (0.5, 0.125, 1.25e7, SLENDER_MESHES),
+}
+
+
+def make_case(
+    kind: str,
+    poisson_ratio: float,
+    regime: str = PLANE_STRESS,
     young_modulus: float = 2e11,
     thickness: float = 0.01,
-    load: float = 1e8,
-    mesh_sizes: tuple[tuple[int, int], ...] = SQUARE_MESHES,
+    load: float | None = None,
+    mesh_sizes: tuple[tuple[int, int], ...] | None = None,
 ) -> BenchmarkCase:
-    material = Material(young_modulus, poisson_ratio, thickness)
-    return BenchmarkCase(UNIAXIAL, 0.2, 0.2, material, load, mesh_sizes)
+    """Build a case of the given kind on its default plate.
 
-
-def pure_shear_case(
-    poisson_ratio: float = 0.3,
-    young_modulus: float = 2e11,
-    thickness: float = 0.01,
-    load: float = 1e8,
-    mesh_sizes: tuple[tuple[int, int], ...] = SQUARE_MESHES,
-) -> BenchmarkCase:
-    material = Material(young_modulus, poisson_ratio, thickness)
-    return BenchmarkCase(PURE_SHEAR, 0.2, 0.2, material, load, mesh_sizes)
-
-
-def pure_bending_case(
-    poisson_ratio: float = 0.3,
-    young_modulus: float = 2e11,
-    thickness: float = 0.01,
-    load: float = 2604.17,
-    mesh_sizes: tuple[tuple[int, int], ...] = SLENDER_MESHES,
-) -> BenchmarkCase:
-    material = Material(young_modulus, poisson_ratio, thickness)
-    return BenchmarkCase(PURE_BENDING, 0.5, 0.125, material, load, mesh_sizes)
-
-
-def cantilever_case(
-    poisson_ratio: float = 0.3,
-    young_modulus: float = 2e11,
-    thickness: float = 0.01,
-    load: float = 1.25e7,
-    mesh_sizes: tuple[tuple[int, int], ...] = SLENDER_MESHES,
-) -> BenchmarkCase:
-    material = Material(young_modulus, poisson_ratio, thickness)
-    return BenchmarkCase(CANTILEVER, 0.5, 0.125, material, load, mesh_sizes)
-
-
-def make_case(kind: str, poisson_ratio: float, **kwargs) -> BenchmarkCase:
-    """Build a default case of the given kind at the given Poisson ratio."""
-    builders = {
-        UNIAXIAL: uniaxial_case,
-        PURE_SHEAR: pure_shear_case,
-        PURE_BENDING: pure_bending_case,
-        CANTILEVER: cantilever_case,
-    }
-    if kind not in builders:
+    The material is isotropic in the given regime; ``load`` and
+    ``mesh_sizes`` default to the kind's own (see ``BenchmarkCase``).
+    """
+    if kind not in _PLATES:
         raise ValueError(f"kind must be one of {CASE_KINDS}, got {kind!r}")
-    return builders[kind](poisson_ratio=poisson_ratio, **kwargs)
+    length, height, default_load, default_meshes = _PLATES[kind]
+    return BenchmarkCase(
+        kind,
+        length,
+        height,
+        Material(young_modulus, poisson_ratio, thickness, regime),
+        default_load if load is None else load,
+        default_meshes if mesh_sizes is None else mesh_sizes,
+    )
+
+
+def uniaxial_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
+    return make_case(UNIAXIAL, poisson_ratio, **kwargs)
+
+
+def pure_shear_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
+    return make_case(PURE_SHEAR, poisson_ratio, **kwargs)
+
+
+def pure_bending_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
+    return make_case(PURE_BENDING, poisson_ratio, **kwargs)
+
+
+def cantilever_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
+    return make_case(CANTILEVER, poisson_ratio, **kwargs)
 
 
 def moment_to_linear_traction(moment: float, half_height: float, thickness: float) -> float:
@@ -362,69 +359,141 @@ def _profile_errors(
     }
 
 
+def _mesh_error(
+    case: BenchmarkCase,
+    mesh: Mesh,
+    solution: Solution | None,
+    failure: SingularSystemError | None,
+) -> MeshError:
+    size = (mesh.spec.nx, mesh.spec.ny)
+    if solution is None:
+        return MeshError(
+            mesh_size=size,
+            rel_l2=float("nan"),
+            max_abs=float("nan"),
+            profile_errors={},
+            inertia=failure.inertia,
+            indefinite=bool(failure.inertia and failure.inertia[0] > 0),
+            failed=True,
+            failure=str(failure),
+        )
+    num = solution.displacements
+    ua, va = analytical_field(case)(mesh.positions[:, 0], mesh.positions[:, 1])
+    ref = np.column_stack([ua, va])
+    return MeshError(
+        mesh_size=size,
+        rel_l2=_relative_l2(num, ref),
+        max_abs=float(np.abs(num - ref).max()),
+        profile_errors=_profile_errors(case, mesh, num, ref),
+        inertia=solution.inertia,
+        indefinite=solution.indefinite,
+    )
+
+
+@contextmanager
+def _timed(timings: dict[str, float], stage: str) -> Iterator[None]:
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] += time.perf_counter() - start
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Runs of one plate over its mesh ladder, one per (case, model).
+
+    Attributes:
+        meshes: the lattice of each mesh size, shared by every run.
+        runs: per (case, model), in the order given, the per-mesh
+            solutions (None where the solve failed) and the ErrorReport.
+        timings: seconds spent in each of SWEEP_STAGES, summed over the
+            sweep.
+    """
+
+    meshes: tuple[Mesh, ...]
+    runs: tuple[tuple[list[Solution | None], ErrorReport], ...]
+    timings: dict[str, float]
+
+
+SWEEP_STAGES = ("mesh", "pattern", "values", "solve", "errors")
+
+
+def _plate(case: BenchmarkCase) -> tuple:
+    # everything the meshes, loads and supports depend on
+    return (case.kind, case.length, case.height, case.load, case.material.thickness, case.mesh_sizes)
+
+
+def sweep(runs: Sequence[tuple[BenchmarkCase, str]]) -> Sweep:
+    """Solve several (case, model) pairs of one plate on its mesh ladder.
+
+    The cases may differ only in Young's modulus, Poisson ratio and
+    regime, which change the cell matrix and the reference field but not
+    the lattice. Each mesh, its loads, supports and reduced stencil are
+    therefore built once; each run then costs one fill of the stiffness
+    values per mesh, a solve and the error evaluation.
+
+    Solver failures (singular or irrecoverably ill-conditioned systems)
+    are recorded per mesh rather than raised, since driving a model into
+    its unstable regime is part of the protocol.
+    """
+    timings = dict.fromkeys(SWEEP_STAGES, 0.0)
+    if not runs:
+        return Sweep(meshes=(), runs=(), timings=timings)
+    plate = runs[0][0]
+    if any(_plate(case) != _plate(plate) for case, _ in runs):
+        raise ValueError("swept cases must share kind, plate, load, thickness and meshes")
+    with _timed(timings, "values"):
+        tables = [
+            lattice.stencil_values(cell_matrix(calibrate(case.material, model)))
+            for case, model in runs
+        ]
+    meshes: list[Mesh] = []
+    solutions: list[list[Solution | None]] = [[] for _ in runs]
+    errors: list[list[MeshError]] = [[] for _ in runs]
+    for size in plate.mesh_sizes:
+        with _timed(timings, "mesh"):
+            mesh = case_mesh(plate, size)
+        with _timed(timings, "pattern"):
+            forces = lattice.load_vector(mesh, case_loads(plate), plate.material.thickness)
+            stencil = lattice.reduce_stencil(mesh, forces, case_constraints(plate, mesh))
+        meshes.append(mesh)
+        for i, ((case, _), table) in enumerate(zip(runs, tables)):
+            with _timed(timings, "values"):
+                reduced = stencil.fill(table)
+            with _timed(timings, "solve"):
+                try:
+                    solution, failure = lattice.solve(reduced), None
+                except SingularSystemError as exc:
+                    solution, failure = None, exc
+            with _timed(timings, "errors"):
+                errors[i].append(_mesh_error(case, mesh, solution, failure))
+            solutions[i].append(solution)
+    reports = (
+        ErrorReport(
+            kind=case.kind,
+            model=model,
+            poisson_ratio=case.material.poisson_ratio,
+            mesh_errors=tuple(rows),
+        )
+        for (case, model), rows in zip(runs, errors)
+    )
+    return Sweep(meshes=tuple(meshes), runs=tuple(zip(solutions, reports)), timings=timings)
+
+
 def run_case(
     case: BenchmarkCase, model: str
 ) -> tuple[list[Solution | None], ErrorReport]:
     """Solve the case on every mesh and compare with the analytical field.
 
-    Solver failures (singular or irrecoverably ill-conditioned systems)
-    are recorded per mesh rather than raised, since driving a model into
-    its unstable regime is part of the protocol.
+    A sweep of one run: solver failures are recorded per mesh rather than
+    raised (see ``sweep``).
 
     Returns:
         Per-mesh solutions (None where the solve failed) and the
         ErrorReport.
     """
-    stiffness = calibrate(case.material, model)
-    matrix = cell_matrix(stiffness)
-    field = analytical_field(case)
-    solutions: list[Solution | None] = []
-    mesh_errors: list[MeshError] = []
-    for size in case.mesh_sizes:
-        mesh = case_mesh(case, size)
-        system = lattice.assemble(mesh, matrix)
-        system = lattice.apply_loads(
-            system, mesh, case_loads(case), case.material.thickness
-        )
-        reduced = lattice.apply_constraints(system, case_constraints(case, mesh))
-        try:
-            solution = lattice.solve(reduced)
-        except SingularSystemError as exc:
-            solutions.append(None)
-            mesh_errors.append(
-                MeshError(
-                    mesh_size=size,
-                    rel_l2=float("nan"),
-                    max_abs=float("nan"),
-                    profile_errors={},
-                    inertia=exc.inertia,
-                    indefinite=bool(exc.inertia and exc.inertia[0] > 0),
-                    failed=True,
-                    failure=str(exc),
-                )
-            )
-            continue
-        num = solution.displacements
-        ua, va = field(mesh.positions[:, 0], mesh.positions[:, 1])
-        ref = np.column_stack([ua, va])
-        solutions.append(solution)
-        mesh_errors.append(
-            MeshError(
-                mesh_size=size,
-                rel_l2=_relative_l2(num, ref),
-                max_abs=float(np.abs(num - ref).max()),
-                profile_errors=_profile_errors(case, mesh, num, ref),
-                inertia=solution.inertia,
-                indefinite=solution.indefinite,
-            )
-        )
-    report = ErrorReport(
-        kind=case.kind,
-        model=model,
-        poisson_ratio=case.material.poisson_ratio,
-        mesh_errors=tuple(mesh_errors),
-    )
-    return solutions, report
+    return sweep([(case, model)]).runs[0]
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ block describing the inputs. Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -99,14 +101,36 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, manifest: dict, header: list[str], rows: list[tuple]) -> None:
-    """Write a deterministic CSV with a '#' manifest block."""
+def _format_table(rows) -> str:
+    # one printf-style operation over the whole table; a column of floats
+    # takes "%.17g", which prints what format(v, ".17g") prints, and any
+    # other column is formatted value by value
+    columns = [list(column) for column in zip(*rows)]
+    specs, cells = [], []
+    for column in columns:
+        if all(issubclass(kind, float) for kind in set(map(type, column))):
+            specs.append("%.17g")
+            cells.append(column)
+        else:
+            specs.append("%s")
+            cells.append([_format_value(v) for v in column])
+    n_rows = len(columns[0]) if columns else 0
+    line = ",".join(specs) + "\n"
+    return (line * n_rows) % tuple(itertools.chain.from_iterable(zip(*cells)))
+
+
+def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
+    """Write a deterministic CSV with a '#' manifest block.
+
+    ``rows`` is a sequence of tuples or a 2-D array. Floats are written
+    with 17 significant digits, booleans as true/false and anything else
+    with ``str``.
+    """
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
         for key, value in manifest.items():
             handle.write(f"# {key}={_format_value(value)}\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_value(v) for v in row) + "\n")
+        handle.write(_format_table(rows.tolist() if isinstance(rows, np.ndarray) else rows))
 
 
 def read_field_csv(path: Path) -> dict[str, np.ndarray]:
@@ -285,7 +309,10 @@ def _base_manifest(config: RunConfig) -> dict:
     }
 
 
-def _write_run_manifest(config: RunConfig, files: list[str]) -> None:
+def _write_run_manifest(
+    config: RunConfig, files: list[str], timings: dict[str, float] | None = None
+) -> None:
+    """Write run_manifest.json; ``timings`` are seconds per stage, if measured."""
     payload = {
         "tool": "lsm2d",
         "version": __version__,
@@ -300,6 +327,8 @@ def _write_run_manifest(config: RunConfig, files: list[str]) -> None:
         "files": files,
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
+    if timings is not None:
+        payload["timings"] = timings
     with open(config.out / "run_manifest.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -349,21 +378,18 @@ def cmd_eigen(config: RunConfig) -> int:
     files = ["eigenvalues.csv"]
 
     if config.case is not None:
-        kind = CASE_NAMES[config.case]
+        # the plate's height and supports do not depend on the material
+        case = benchmarks.make_case(CASE_NAMES[config.case], 0.0)
+        # one square cell as tall as the plate; case_mesh would demand
+        # the plate's own aspect ratio and mesh parity
+        mesh = lattice.build_mesh(lattice.LatticeSpec(1, 1, cell_size=case.height))
+        constraints = benchmarks.case_constraints(case, mesh)
         spectra = []
         for model in config.models:
             for nu in config.nus:
                 material = Material(config.young_modulus, nu, config.thickness, config.regime)
-                case = benchmarks.make_case(
-                    kind, nu, young_modulus=config.young_modulus, thickness=config.thickness
-                )
-                # one square cell as tall as the plate; case_mesh would demand
-                # the plate's own aspect ratio and mesh parity
-                mesh = lattice.build_mesh(lattice.LatticeSpec(1, 1, cell_size=case.height))
                 system = lattice.assemble(mesh, cell_matrix(calibrate(material, model)))
-                reduced = lattice.apply_constraints(
-                    system, benchmarks.case_constraints(case, mesh)
-                )
+                reduced = lattice.apply_constraints(system, constraints)
                 values = lattice.constrained_spectrum(reduced) / scale
                 spectra.append((model, config.regime, nu) + tuple(values))
         n_eigs = len(spectra[0]) - 3 if spectra else 0
@@ -378,22 +404,12 @@ def cmd_eigen(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _field_rows(mesh, solution, field) -> list[tuple]:
+def _field_rows(mesh, solution, field) -> np.ndarray:
     ua, va = field(mesh.positions[:, 0], mesh.positions[:, 1])
-    rows = []
-    for p in range(mesh.n_particles):
-        rows.append(
-            (
-                p,
-                mesh.positions[p, 0],
-                mesh.positions[p, 1],
-                solution.displacements[p, 0],
-                solution.displacements[p, 1],
-                float(ua[p]),
-                float(va[p]),
-            )
-        )
-    return rows
+    # one float table: "%.17g" prints the particle index as an integer
+    return np.column_stack(
+        [np.arange(mesh.n_particles), mesh.positions, solution.displacements, ua, va]
+    )
 
 
 def _run_benchmark(config: RunConfig, write_fields: bool) -> int:
@@ -413,80 +429,80 @@ def _run_benchmark(config: RunConfig, write_fields: bool) -> int:
         "indefinite",
         "failed",
     ]
+    runs = [
+        (
+            benchmarks.make_case(
+                kind,
+                nu,
+                regime=config.regime,
+                young_modulus=config.young_modulus,
+                thickness=config.thickness,
+                mesh_sizes=config.meshes,
+            ),
+            model,
+        )
+        for model in config.models
+        for nu in config.nus
+    ]
+    sweep = benchmarks.sweep(runs)
+    start = time.perf_counter()
     error_rows = []
     files = []
     failures: list[str] = []
-    for model in config.models:
-        for nu in config.nus:
-            kwargs = dict(
-                young_modulus=config.young_modulus, thickness=config.thickness
+    for (case, model), (solutions, report) in zip(runs, sweep.runs):
+        nu = case.material.poisson_ratio
+        field = benchmarks.analytical_field(case)
+        for mesh, solution, mesh_error in zip(sweep.meshes, solutions, report.mesh_errors):
+            nx, ny = mesh_error.mesh_size
+            profile = mesh_error.profile_errors
+            error_rows.append(
+                (
+                    model,
+                    config.regime,
+                    config.case,
+                    nu,
+                    nx,
+                    ny,
+                    mesh_error.rel_l2,
+                    mesh_error.max_abs,
+                    profile.get("edge_u", float("nan")),
+                    profile.get("axis_v", float("nan")),
+                    mesh_error.inertia[0] if mesh_error.inertia else 0,
+                    mesh_error.indefinite,
+                    mesh_error.failed,
+                )
             )
-            if config.meshes is not None:
-                kwargs["mesh_sizes"] = config.meshes
-            case = benchmarks.make_case(kind, nu, **kwargs)
-            if config.regime != PLANE_STRESS:
-                case = benchmarks.BenchmarkCase(
-                    case.kind,
-                    case.length,
-                    case.height,
-                    Material(
-                        config.young_modulus, nu, config.thickness, config.regime
-                    ),
-                    case.load,
-                    case.mesh_sizes,
+            if mesh_error.failed:
+                failures.append(
+                    f"{config.case} {model} nu={nu:g} mesh {nx}x{ny}: {mesh_error.failure}"
                 )
-            solutions, report = benchmarks.run_case(case, model)
-            field = benchmarks.analytical_field(case)
-            for solution, mesh_error in zip(solutions, report.mesh_errors):
-                nx, ny = mesh_error.mesh_size
-                profile = mesh_error.profile_errors
-                error_rows.append(
-                    (
-                        model,
-                        config.regime,
-                        config.case,
-                        nu,
-                        nx,
-                        ny,
-                        mesh_error.rel_l2,
-                        mesh_error.max_abs,
-                        profile.get("edge_u", float("nan")),
-                        profile.get("axis_v", float("nan")),
-                        mesh_error.inertia[0] if mesh_error.inertia else 0,
-                        mesh_error.indefinite,
-                        mesh_error.failed,
-                    )
+            if write_fields and solution is not None:
+                name = f"field_{config.case}_{model}_nu{nu:g}_{nx}x{ny}.csv"
+                manifest = _base_manifest(config)
+                manifest.update(
+                    {
+                        "case": config.case,
+                        "model": model,
+                        "nu": format(nu, "g"),
+                        "mesh": f"{nx}x{ny}",
+                        "load": case.load,
+                    }
                 )
-                if mesh_error.failed:
-                    failures.append(
-                        f"{config.case} {model} nu={nu:g} mesh {nx}x{ny}: {mesh_error.failure}"
-                    )
-                if write_fields and solution is not None:
-                    name = f"field_{config.case}_{model}_nu{nu:g}_{nx}x{ny}.csv"
-                    manifest = _base_manifest(config)
-                    manifest.update(
-                        {
-                            "case": config.case,
-                            "model": model,
-                            "nu": format(nu, "g"),
-                            "mesh": f"{nx}x{ny}",
-                            "load": case.load,
-                        }
-                    )
-                    write_csv(
-                        config.out / name,
-                        manifest,
-                        ["particle", "x", "y", "u", "v", "u_analytical", "v_analytical"],
-                        _field_rows(benchmarks.case_mesh(case, (nx, ny)), solution, field),
-                    )
-                    files.append(name)
+                write_csv(
+                    config.out / name,
+                    manifest,
+                    ["particle", "x", "y", "u", "v", "u_analytical", "v_analytical"],
+                    _field_rows(mesh, solution, field),
+                )
+                files.append(name)
     table = "errors" if write_fields else "convergence"
     table_name = f"{table}_{config.case}.csv"
     manifest = _base_manifest(config)
     manifest["case"] = config.case
     write_csv(config.out / table_name, manifest, error_header, error_rows)
     files.append(table_name)
-    _write_run_manifest(config, files)
+    timings = dict(sweep.timings, csv=time.perf_counter() - start)
+    _write_run_manifest(config, files, timings)
     if failures:
         for failure in failures:
             print(f"numerical failure: {failure}", file=sys.stderr)

@@ -7,6 +7,14 @@ every interior edge bond is shared by exactly two cells; the half-weight
 the cell matrix assigns to edge bonds then accumulates to the full bond
 stiffness, while boundary edges keep their single half contribution.
 
+Every cell shares one 8x8 matrix, so every stiffness entry is a sum of
+cell-matrix entries that the grid alone selects. A stencil, built in
+closed form from nx and ny, holds the CSR pattern and, per stored entry,
+its slot in a small value table that one cell matrix fills; assembly is a
+single gather, with no COO triplets and no duplicate summing. Constraint
+elimination works on the stencil too, so a sweep over materials and bond
+models builds each mesh's reduced pattern once and only refills its values.
+
 Dirichlet data is imposed by eliminating constrained DOFs (rows and
 columns removed, right-hand side corrected), never by penalties, so the
 spectrum of the reduced matrix is the physical constrained spectrum. The
@@ -285,31 +293,124 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
-def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
-    """Scatter one 8x8 cell matrix into the global sparse matrix.
+# corners of a cell in corner order, as (dx, dy) from its lower-left particle
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
-    Every cell of a uniform lattice shares the same matrix, so the data
-    array is a tile; duplicate entries are summed on conversion, which
-    restores full stiffness on shared edge bonds. The system carries the
-    grid's nested-dissection order for the factorization.
+
+@dataclass(frozen=True)
+class Stencil:
+    """Sparsity pattern of a matrix whose entries come from a value table.
+
+    Stored entry k of the CSR matrix with this ``indptr`` and ``indices``
+    holds ``values[slots[k]]``; ``fill`` builds that matrix for one table.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    shape: tuple[int, int]
+
+    def fill(self, values: np.ndarray) -> scipy.sparse.csr_matrix:
+        # the index arrays are copied so that no matrix shares them with the
+        # stencil, which may fill many
+        return scipy.sparse.csr_matrix(
+            (values[self.slots], self.indices.copy(), self.indptr.copy()), shape=self.shape
+        )
+
+    def restrict(self, dofs: np.ndarray) -> "Stencil":
+        """The block of rows and columns ``dofs``, renumbered in that order.
+
+        scipy's fancy indexing carries the slots as the matrix data, so the
+        block keeps the entry order that ``A[dofs][:, dofs]`` gives ``A``.
+        """
+        pattern = scipy.sparse.csr_matrix((self.slots, self.indices, self.indptr), shape=self.shape)
+        block = pattern[dofs][:, dofs]
+        return Stencil(block.indptr, block.indices, block.data, block.shape)
+
+
+def _lattice_stencil(nx: int, ny: int) -> Stencil:
+    """Stiffness pattern of an nx x ny lattice, in closed form.
+
+    Row 2p + a couples particle p, component a, to both components of
+    every particle within one step of it in x and y, in increasing order:
+    per neighbouring particle row dy, one run of consecutive columns. An
+    entry's value depends only on which cell corners p is (its role mask,
+    bit I set when p is corner I of a cell), on dy, a, the column offset
+    dx and the component b, so ``slots`` numbers these 16 x 3 x 2 x 3 x 2
+    combinations, which ``stencil_values`` fills from a cell matrix. Along
+    a run both the column and the slot step by one.
+    """
+    n_particles = (nx + 1) * (ny + 1)
+    ix = np.tile(np.arange(nx + 1), ny + 1)
+    iy = np.repeat(np.arange(ny + 1), nx + 1)
+    mask = np.zeros(n_particles, dtype=np.int64)
+    for role, (cx, cy) in enumerate(_CORNERS):
+        # p is corner `role` of the cell whose lower-left particle is p - corner
+        has_cell = (ix - cx >= 0) & (ix - cx < nx) & (iy - cy >= 0) & (iy - cy < ny)
+        mask |= has_cell.astype(np.int64) << role
+    dy = np.arange(-1, 2)
+    qy = iy[:, None] + dy  # (particles, 3)
+    first = np.maximum(ix - 1, 0)  # leftmost neighbour
+    width = np.minimum(ix + 1, nx) - first + 1
+    run = np.where((qy >= 0) & (qy <= ny), 2 * width[:, None], 0)
+    col0 = 2 * (qy * (nx + 1) + first[:, None])
+    slot0 = mask[:, None] * 36 + 12 * (dy + 1) + 2 * (first - ix + 1)[:, None]
+    # runs indexed (p, a, dy): rows 2p and 2p + 1 share their columns
+    shape = (n_particles, 2, 3)
+    index_dtype = np.int32 if 36 * n_particles < 2**31 else np.int64
+    lengths = np.broadcast_to(run[:, None, :], shape).ravel()
+    col0 = np.broadcast_to(col0[:, None, :], shape).ravel().astype(index_dtype)
+    slot0 = (slot0[:, None, :] + 6 * np.arange(2)[:, None]).ravel().astype(index_dtype)
+    ends = np.cumsum(lengths)
+    within = np.arange(ends[-1], dtype=index_dtype)
+    within -= np.repeat((ends - lengths).astype(index_dtype), lengths)
+    return Stencil(
+        indptr=np.concatenate([[0], ends[2::3]]).astype(index_dtype),
+        indices=np.repeat(col0, lengths) + within,
+        slots=(np.repeat(slot0, lengths) + within).astype(np.uint16),
+        shape=(2 * n_particles, 2 * n_particles),
+    )
+
+
+def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
+    """Value table of a lattice stencil for one 8x8 cell matrix.
+
+    Slot (mask, dy, a, dx, b) sums the (a, b) entry of the cell-matrix
+    block of every corner pair (I, J) with I in the mask and J at offset
+    (dx, dy) from I: the contribution of each cell around the particle.
+    The table starts at -0.0, the additive identity, so a single
+    contribution keeps its sign of zero.
     """
     cell_matrix = np.asarray(cell_matrix, dtype=float)
     if cell_matrix.shape != (8, 8):
         raise ValueError(f"cell matrix must be 8x8, got {cell_matrix.shape}")
-    n_cells = mesh.cells.shape[0]
-    dofs = np.empty((n_cells, 8), dtype=int)
-    dofs[:, 0::2] = 2 * mesh.cells
-    dofs[:, 1::2] = 2 * mesh.cells + 1
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    data = np.tile(cell_matrix.ravel(), n_cells)
-    stiffness = scipy.sparse.coo_matrix(
-        (data, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs)
-    ).tocsr()
+    blocks = cell_matrix.reshape(4, 2, 4, 2)  # [I, a, J, b]
+    values = np.full((16, 3, 2, 3, 2), -0.0)
+    masks = np.arange(16)
+    for role, (ax, ay) in enumerate(_CORNERS):
+        with_role = masks[(masks >> role) & 1 == 1]
+        for corner, (bx, by) in enumerate(_CORNERS):
+            values[with_role, by - ay + 1, :, bx - ax + 1, :] += blocks[role, :, corner, :]
+    return values.ravel()
+
+
+def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
+    """Global sparse stiffness matrix of a lattice with one cell matrix.
+
+    Every cell of a uniform lattice shares the same matrix, so each entry
+    is a sum of cell-matrix entries fixed by the grid alone: the stencil
+    gives the CSR pattern and, per entry, its slot in the value table, and
+    one gather fills it. Interior edge bonds thereby receive both cells'
+    half weights. The rows hold sorted, unique column indices, as a
+    COO-to-CSR conversion would give. The system carries the grid's
+    nested-dissection order for the factorization.
+    """
+    values = stencil_values(cell_matrix)
+    nx, ny = mesh.spec.nx, mesh.spec.ny
     return GlobalSystem(
-        stiffness=stiffness,
+        stiffness=_lattice_stencil(nx, ny).fill(values),
         forces=np.zeros(mesh.n_dofs),
-        order=_nested_dissection(mesh.spec.nx, mesh.spec.ny),
+        order=_nested_dissection(nx, ny),
     )
 
 
@@ -321,10 +422,8 @@ def _traction_profile(traction: EdgeTraction, coords: np.ndarray) -> np.ndarray:
     return traction.magnitude * (coords - mid) / half
 
 
-def apply_loads(
-    system: GlobalSystem, mesh: Mesh, loads: LoadSpec, thickness: float
-) -> GlobalSystem:
-    """Add lumped nodal forces for the given loads.
+def load_vector(mesh: Mesh, loads: LoadSpec, thickness: float) -> np.ndarray:
+    """Lumped nodal forces of the given loads, in N.
 
     Edge tractions are lumped by the trapezoidal rule: a node spanning two
     edge segments receives sigma * t * l, an end node sigma * t * l / 2,
@@ -332,21 +431,16 @@ def apply_loads(
     what makes affine analytical fields exactly representable.
 
     Args:
-        system: assembled system; not mutated.
         mesh: lattice the loads refer to.
         loads: point forces and edge tractions.
         thickness: plate thickness t in m.
-
-    Returns:
-        New GlobalSystem sharing the stiffness and order, with updated
-        forces.
     """
     if not (np.isfinite(thickness) and thickness > 0.0):
         raise ValueError(f"thickness must be positive and finite, got {thickness}")
     for node, _ in loads.point_forces:
         if not 0 <= node < mesh.n_particles:
             raise ValueError(f"point force on node {node} outside the lattice")
-    forces = system.forces.copy()
+    forces = np.zeros(mesh.n_dofs)
     l = mesh.spec.cell_size
     for traction in loads.edge_tractions:
         nodes = mesh.edge_nodes(traction.edge)
@@ -362,7 +456,32 @@ def apply_loads(
     for node, (fx, fy) in loads.point_forces:
         forces[2 * node] += fx
         forces[2 * node + 1] += fy
-    return replace(system, forces=forces)
+    return forces
+
+
+def apply_loads(
+    system: GlobalSystem, mesh: Mesh, loads: LoadSpec, thickness: float
+) -> GlobalSystem:
+    """Add the lumped nodal forces of the given loads (see ``load_vector``).
+
+    Args:
+        system: assembled system; not mutated.
+        mesh: lattice the loads refer to.
+        loads: point forces and edge tractions.
+        thickness: plate thickness t in m.
+
+    Returns:
+        New GlobalSystem sharing the stiffness and order, with updated
+        forces.
+    """
+    return replace(system, forces=system.forces + load_vector(mesh, loads, thickness))
+
+
+def _free_dofs(order: np.ndarray, constraints: Constraints, n: int) -> np.ndarray:
+    fixed = constraints.dofs
+    if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
+        raise ValueError("constraint references a DOF outside the system")
+    return order[~np.isin(order, fixed)]
 
 
 def apply_constraints(system: GlobalSystem, constraints: Constraints) -> ReducedSystem:
@@ -374,22 +493,71 @@ def apply_constraints(system: GlobalSystem, constraints: Constraints) -> Reduced
     the factorization.
     """
     n = system.forces.shape[0]
-    fixed = constraints.dofs
-    if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
-        raise ValueError("constraint references a DOF outside the system")
-    free = system.order[~np.isin(system.order, fixed)]
+    free = _free_dofs(system.order, constraints, n)
     rows = system.stiffness.tocsr()[free]
     matrix = rows[:, free].tocsr()
     rhs = system.forces[free]
-    if fixed.size and np.any(constraints.values != 0.0):
-        rhs = rhs - rows[:, fixed] @ constraints.values
+    if constraints.dofs.size and np.any(constraints.values != 0.0):
+        rhs = rhs - rows[:, constraints.dofs] @ constraints.values
     return ReducedSystem(
         matrix=matrix,
         rhs=rhs,
         free=free,
-        fixed=fixed,
+        fixed=constraints.dofs,
         fixed_values=constraints.values,
         n_dofs=n,
+    )
+
+
+@dataclass(frozen=True)
+class ReducedStencil:
+    """A lattice's reduced system under homogeneous supports, without values.
+
+    ``fill`` gives the ReducedSystem of one value table (see
+    ``stencil_values``); every field but the matrix is shared.
+    """
+
+    matrix: Stencil
+    rhs: np.ndarray
+    free: np.ndarray
+    fixed: np.ndarray
+    fixed_values: np.ndarray
+    n_dofs: int
+
+    def fill(self, values: np.ndarray) -> ReducedSystem:
+        return ReducedSystem(
+            matrix=self.matrix.fill(values),
+            rhs=self.rhs,
+            free=self.free,
+            fixed=self.fixed,
+            fixed_values=self.fixed_values,
+            n_dofs=self.n_dofs,
+        )
+
+
+def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> ReducedStencil:
+    """Constrained lattice system for any cell matrix, built once per mesh.
+
+    ``reduce_stencil(mesh, forces, constraints).fill(stencil_values(cell))``
+    equals ``apply_constraints`` of the assembled system with these forces,
+    entry for entry, so a sweep over cell matrices pays for the pattern,
+    the elimination and the nested-dissection order once. Prescribed
+    displacements must be zero: nonzero ones would move stiffness values
+    to the right-hand side, so they take ``apply_constraints``.
+    """
+    if forces.shape != (mesh.n_dofs,):
+        raise ValueError(f"forces must have shape ({mesh.n_dofs},), got {forces.shape}")
+    if np.any(constraints.values != 0.0):
+        raise ValueError("reduce_stencil takes zero prescribed displacements only")
+    nx, ny = mesh.spec.nx, mesh.spec.ny
+    free = _free_dofs(_nested_dissection(nx, ny), constraints, mesh.n_dofs)
+    return ReducedStencil(
+        matrix=_lattice_stencil(nx, ny).restrict(free),
+        rhs=forces[free],
+        free=free,
+        fixed=constraints.dofs,
+        fixed_values=constraints.values,
+        n_dofs=mesh.n_dofs,
     )
 
 

@@ -19,6 +19,7 @@ slip s . (u_B - u_A) with n = (cos t, sin t), s = (-sin t, cos t).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 # corner order A, B, C, D; DOF order [u_A, v_A, ..., u_D, v_D]
 _CORNER_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
@@ -179,3 +180,37 @@ def eigenvalue_inertia(matrix) -> tuple[int, int, int]:
     neg = int(np.sum(eigenvalues < -cutoff))
     pos = int(np.sum(eigenvalues > cutoff))
     return neg, eigenvalues.size - neg - pos, pos
+
+
+def coo_assembly(mesh, cell_matrix) -> scipy.sparse.csr_matrix:
+    """Global stiffness as a COO sum: every cell's 64 entries, duplicates summed.
+
+    The tiled cell matrix is scattered to each cell's DOFs and converted to
+    CSR, which sorts each row and sums the entries of shared bonds. scipy
+    leaves the order in which it sums duplicates to its sort, so two sums
+    agree to the bit only where that order cannot matter.
+    """
+    n_cells = mesh.cells.shape[0]
+    dofs = np.empty((n_cells, 8), dtype=int)
+    dofs[:, 0::2] = 2 * mesh.cells
+    dofs[:, 1::2] = 2 * mesh.cells + 1
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    data = np.tile(np.asarray(cell_matrix, dtype=float).ravel(), n_cells)
+    return scipy.sparse.coo_matrix(
+        (data, (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs)
+    ).tocsr()
+
+
+def sliced_reduction(stiffness, free: np.ndarray) -> scipy.sparse.csr_matrix:
+    """K[free][:, free] by scipy's fancy indexing, rows and columns in the given order."""
+    return stiffness.tocsr()[free][:, free].tocsr()
+
+
+def csv_cell(value) -> str:
+    """Text of one CSV value, formatted on its own."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return str(value)

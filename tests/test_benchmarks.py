@@ -14,6 +14,8 @@ from lsm2d import (
     BORN,
     CANTILEVER,
     MODIFIED,
+    PLANE_STRAIN,
+    PLANE_STRESS,
     PURE_BENDING,
     PURE_SHEAR,
     SLENDER_MESHES,
@@ -33,6 +35,7 @@ from lsm2d import (
     pure_bending_case,
     pure_shear_case,
     run_case,
+    sweep,
     uniaxial_case,
 )
 from oracles import plane_stress_field_stresses
@@ -177,6 +180,15 @@ class TestCaseSetup:
             make_case("torsion", 0.3)
         assert pure_bending_case(0.3).half_height == pytest.approx(0.0625)
 
+    def test_make_case_builds_either_regime(self):
+        case = make_case(CANTILEVER, 0.3, regime=PLANE_STRAIN, thickness=0.02)
+        assert case.material == Material(2e11, 0.3, 0.02, PLANE_STRAIN)
+        assert make_case(CANTILEVER, 0.3).material.regime == PLANE_STRESS
+        assert cantilever_case(0.3) == make_case(CANTILEVER, 0.3)
+        assert (case.length, case.height, case.load, case.mesh_sizes) == (
+            0.5, 0.125, 1.25e7, SLENDER_MESHES
+        )
+
     def test_mesh_geometry(self):
         mesh = case_mesh(uniaxial_case(0.3), (4, 4))
         assert mesh.spec.cell_size == pytest.approx(0.05)
@@ -217,6 +229,33 @@ class TestCaseSetup:
         assert traction.edge == "left"
         assert traction.direction == (0.0, -1.0)
         assert traction.magnitude == pytest.approx(1e8, rel=1e-12)
+
+
+class TestSweep:
+    def test_runs_equal_run_case(self):
+        meshes = ((8, 2), (16, 4))
+        runs = [
+            (make_case(CANTILEVER, nu, regime=regime, mesh_sizes=meshes), model)
+            for regime in (PLANE_STRESS, PLANE_STRAIN)
+            for model in (BORN, MODIFIED)
+            for nu in (0.0, 0.45)
+        ]
+        result = sweep(runs)
+        assert [(m.spec.nx, m.spec.ny) for m in result.meshes] == list(meshes)
+        for mesh, size in zip(result.meshes, meshes):
+            np.testing.assert_array_equal(mesh.positions, case_mesh(runs[0][0], size).positions)
+        for (case, model), (solutions, report) in zip(runs, result.runs):
+            expected_solutions, expected = run_case(case, model)
+            assert report == expected
+            for solution, other in zip(solutions, expected_solutions):
+                np.testing.assert_array_equal(solution.u, other.u)
+
+    def test_cases_must_share_the_plate(self):
+        with pytest.raises(ValueError):
+            sweep([(uniaxial_case(0.3), BORN), (uniaxial_case(0.3, thickness=0.02), BORN)])
+        with pytest.raises(ValueError):
+            sweep([(uniaxial_case(0.3), BORN), (pure_shear_case(0.3), BORN)])
+        assert sweep([]).runs == ()
 
 
 class TestAffineExactness:

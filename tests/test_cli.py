@@ -4,14 +4,25 @@ CSV outputs must be byte-deterministic, so several tests compare whole
 files across repeated runs instead of parsed values.
 """
 
+import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from lsm2d import MODIFIED, SingularSystemError, run_case, uniaxial_case
-from lsm2d.cli import main, read_field_csv
+from lsm2d import (
+    MODELS,
+    MODIFIED,
+    PURE_BENDING,
+    SingularSystemError,
+    make_case,
+    run_case,
+    uniaxial_case,
+)
+from lsm2d.cli import REGIME_NAMES, main, read_field_csv, write_csv
+from oracles import csv_cell
 
 
 def read_table(path):
@@ -211,6 +222,95 @@ class TestBenchmarkCommand:
         _, rows = read_table(tmp_path / "convergence_uniaxial.csv")
         assert rows[0]["failed"] == "true"
         assert rows[0]["rel_l2"] == "nan"
+
+
+class TestSweep:
+    @pytest.mark.parametrize("regime", sorted(REGIME_NAMES))
+    def test_error_rows_equal_a_run_case_loop(self, tmp_path, regime):
+        nus, meshes = (0.3, 0.45), ((8, 2), (16, 4))
+        assert main(
+            [
+                "benchmark",
+                "--out", str(tmp_path),
+                "--case", "bending",
+                "--regime", regime,
+                "--nu", "0.3,0.45",
+                "--mesh", "8x2,16x4",
+            ]
+        ) == 0
+        _, rows = read_table(tmp_path / "errors_bending.csv")
+        expected, fields = [], []
+        for model in MODELS:
+            for nu in nus:
+                case = make_case(PURE_BENDING, nu, regime=REGIME_NAMES[regime], mesh_sizes=meshes)
+                _, report = run_case(case, model)
+                for error in report.mesh_errors:
+                    nx, ny = error.mesh_size
+                    values = (
+                        model, nu, nx, ny, error.rel_l2, error.max_abs,
+                        error.profile_errors["edge_u"], error.profile_errors["axis_v"],
+                        error.inertia[0], error.indefinite, error.failed,
+                    )
+                    expected.append([csv_cell(v) for v in values])
+                    fields.append(f"field_bending_{model}_nu{nu:g}_{nx}x{ny}.csv")
+        columns = (
+            "model", "nu", "nx", "ny", "rel_l2", "max_abs", "edge_u", "axis_v",
+            "negative_pivots", "indefinite", "failed",
+        )
+        assert [[row[c] for c in columns] for row in rows] == expected
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["files"] == fields + ["errors_bending.csv"]
+
+    @pytest.mark.parametrize("command", ["benchmark", "convergence"])
+    def test_manifest_reports_stage_timings(self, tmp_path, command):
+        assert main(
+            [command, "--out", str(tmp_path), "--case", "shear", "--nu", "0.3", "--mesh", "2x2,4x4"]
+        ) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
+        timings = manifest["timings"]
+        assert set(timings) == {"mesh", "pattern", "values", "solve", "errors", "csv"}
+        assert all(math.isfinite(value) and value >= 0.0 for value in timings.values())
+
+
+class TestCsvFormat:
+    SPECIALS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1.0 / 3.0)
+    # a column led by a float but holding values "%.17g" would misprint
+    MIXED = (0.5, True, 10**17, np.float64(2.5), np.int64(-4), np.bool_(True), -0.0)
+
+    def expected_text(self, manifest, header, rows):
+        lines = [f"# {key}={csv_cell(value)}" for key, value in manifest.items()]
+        lines.append(",".join(header))
+        lines += [",".join(csv_cell(value) for value in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_table_matches_per_value_oracle(self, tmp_path):
+        header = ["name", "x", "x64", "i64", "i", "flag", "b", "mixed"]
+        rows = [
+            (
+                f"case{i}",
+                special,
+                np.float64(special),
+                np.int64(i - 3),
+                i,
+                np.bool_(i % 2),
+                i % 3 == 0,
+                mixed,
+            )
+            for i, (special, mixed) in enumerate(zip(self.SPECIALS, self.MIXED))
+        ]
+        manifest = {"E": 2e11, "flag": True, "case": "shear"}
+        write_csv(tmp_path / "table.csv", manifest, header, rows)
+        text = (tmp_path / "table.csv").read_text(encoding="utf-8")
+        assert text == self.expected_text(manifest, header, rows)
+
+    def test_float_array_matches_per_value_oracle(self, tmp_path):
+        array = np.array([self.SPECIALS, self.SPECIALS[::-1], np.arange(7.0)])
+        header = [f"c{i}" for i in range(7)]
+        write_csv(tmp_path / "array.csv", {}, header, array)
+        text = (tmp_path / "array.csv").read_text(encoding="utf-8")
+        assert text == self.expected_text({}, header, array.tolist())
+        write_csv(tmp_path / "empty.csv", {}, header, np.empty((0, 7)))
+        assert (tmp_path / "empty.csv").read_text(encoding="utf-8") == ",".join(header) + "\n"
 
 
 class TestConfigFile:

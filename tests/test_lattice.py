@@ -38,10 +38,13 @@ from lsm2d import (
     cell_matrix,
     constrained_spectrum,
     fix_nodes,
+    load_vector,
+    reduce_stencil,
     solve,
+    stencil_values,
 )
 from lsm2d.lattice import _nested_dissection
-from oracles import eigenvalue_inertia
+from oracles import coo_assembly, eigenvalue_inertia, sliced_reduction
 
 
 def make_system(nx, ny, stiffness, cell_size=1.0, origin=(0.0, 0.0)):
@@ -218,6 +221,45 @@ class TestAssemble:
         scale = np.abs(mod.stiffness.toarray()).max() * np.linalg.norm(rot)
         assert np.linalg.norm(mod.stiffness @ rot) <= 1e-9 * scale
 
+    def test_equals_coo_oracle(self):
+        # a calibrated cell has the square's symmetry, so the entries summed
+        # into one slot are equal up to sign and any summation order gives
+        # the same bits; integer entries make the random cell's sums exact
+        random = np.random.default_rng(7).integers(-1000, 1000, (8, 8)).astype(float)
+        random += random.T
+        # a slot fed by one cell keeps the sign of a -0.0 entry, as the COO sum does
+        random[0, 7] = random[7, 0] = -0.0
+        cells = [random] + [
+            cell_matrix(calibrate(Material(2e11, nu, 0.01, regime), model))
+            for regime in REGIMES
+            for model in (BORN, MODIFIED)
+            for nu in (0.3, 0.49)
+        ]
+        for nx in range(1, 13):
+            for ny in range(1, 13):
+                mesh = build_mesh(LatticeSpec(nx, ny, 0.1))
+                for matrix in cells:
+                    stiffness = assemble(mesh, matrix).stiffness
+                    oracle = coo_assembly(mesh, matrix)
+                    np.testing.assert_array_equal(stiffness.indptr, oracle.indptr)
+                    np.testing.assert_array_equal(stiffness.indices, oracle.indices)
+                    np.testing.assert_array_equal(
+                        stiffness.data.view(np.uint64), oracle.data.view(np.uint64)
+                    )
+
+    def test_general_cell_equals_coo_oracle_up_to_summation_order(self, rng):
+        # up to four entries meet in one slot; two orders of summing them
+        # differ by at most 2 x 3 roundings of their magnitude sum
+        matrix = rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-3, 3, (8, 8))
+        matrix += matrix.T
+        tol = 24 * np.finfo(float).eps * np.abs(matrix).max()
+        for nx, ny in ((1, 1), (3, 2), (12, 12)):
+            mesh = build_mesh(LatticeSpec(nx, ny, 0.1))
+            stiffness = assemble(mesh, matrix).stiffness
+            oracle = coo_assembly(mesh, matrix)
+            np.testing.assert_array_equal(stiffness.indices, oracle.indices)
+            np.testing.assert_allclose(stiffness.data, oracle.data, rtol=0.0, atol=tol)
+
     def test_assembly_deterministic(self):
         _, first = make_system(5, 4, modified_set())
         _, second = make_system(5, 4, modified_set())
@@ -279,6 +321,58 @@ class TestNestedDissection:
         pairs = fix_nodes(mesh.edge_nodes("bottom"), "xy")
         reduced = apply_constraints(natural, Constraints.from_pairs(pairs))
         np.testing.assert_array_equal(reduced.free, np.arange(6, 18))
+
+
+class TestReducedStencil:
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_matches_sliced_oracle(self, kind):
+        size = (4, 4) if kind in (UNIAXIAL, PURE_SHEAR) else (16, 4)
+        case = lsm2d.make_case(kind, 0.3, mesh_sizes=(size,))
+        mesh = case_mesh(case, size)
+        constraints = case_constraints(case, mesh)
+        forces = load_vector(mesh, case_loads(case), case.material.thickness)
+        fixed = set(constraints.dofs.tolist())
+        free = np.array([dof for dof in _nested_dissection(*size) if dof not in fixed])
+        stencil = reduce_stencil(mesh, forces, constraints)
+        for regime in REGIMES:
+            for model in (BORN, MODIFIED):
+                material = dataclasses.replace(case.material, regime=regime)
+                matrix = cell_matrix(calibrate(material, model))
+                oracle = sliced_reduction(coo_assembly(mesh, matrix), free)
+                system = apply_loads(assemble(mesh, matrix), mesh, case_loads(case), 0.01)
+                np.testing.assert_array_equal(system.forces, forces)
+                for reduced in (
+                    apply_constraints(system, constraints),
+                    stencil.fill(stencil_values(matrix)),
+                ):
+                    np.testing.assert_array_equal(reduced.free, free)
+                    np.testing.assert_array_equal(reduced.matrix.indptr, oracle.indptr)
+                    np.testing.assert_array_equal(reduced.matrix.indices, oracle.indices)
+                    np.testing.assert_array_equal(
+                        reduced.matrix.data.view(np.uint64), oracle.data.view(np.uint64)
+                    )
+                    np.testing.assert_array_equal(reduced.rhs, forces[free])
+
+    def test_rejects_prescribed_values_and_foreign_forces(self):
+        mesh = build_mesh(LatticeSpec(3, 2, 1.0))
+        pinned = Constraints.from_pairs(fix_nodes([0], "xy"))
+        with pytest.raises(ValueError):
+            reduce_stencil(mesh, np.zeros(mesh.n_dofs), Constraints.from_pairs([(0, 0.5)]))
+        with pytest.raises(ValueError):
+            reduce_stencil(mesh, np.zeros(mesh.n_dofs + 2), pinned)
+        with pytest.raises(ValueError):
+            reduce_stencil(mesh, np.zeros(mesh.n_dofs), Constraints.from_pairs([(mesh.n_dofs, 0.0)]))
+
+    def test_filled_matrices_share_no_arrays(self):
+        mesh = build_mesh(LatticeSpec(3, 2, 1.0))
+        stencil = reduce_stencil(
+            mesh, np.zeros(mesh.n_dofs), Constraints.from_pairs(fix_nodes([0], "xy"))
+        )
+        first = stencil.fill(stencil_values(cell_matrix(born_set()))).matrix
+        first.sort_indices()
+        second = stencil.fill(stencil_values(cell_matrix(born_set()))).matrix
+        assert not second.has_sorted_indices  # the stencil kept its own order
+        np.testing.assert_array_equal(first.toarray(), second.toarray())
 
 
 class TestApplyLoads:
