@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .materials import BORN, MODIFIED, StiffnessSet
 
@@ -268,6 +267,11 @@ def eigen_analysis(matrix: np.ndarray) -> EigenReport:
         raise ValueError(f"expected an 8x8 matrix, got shape {matrix.shape}")
     if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
         raise ValueError("cell matrix must be symmetric")
+    # imported here, not at module level: scipy.optimize pulls in scipy.fft,
+    # scipy.special and scipy.spatial, and no solve path needs any of them,
+    # so only a caller of this function pays for loading them
+    from scipy.optimize import linear_sum_assignment
+
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
 
     labels = list(CANONICAL_MODES)

@@ -383,14 +383,21 @@ def cmd_eigen(config: RunConfig) -> int:
         # one square cell as tall as the plate; case_mesh would demand
         # the plate's own aspect ratio and mesh parity
         mesh = lattice.build_mesh(lattice.LatticeSpec(1, 1, cell_size=case.height))
-        constraints = benchmarks.case_constraints(case, mesh)
+        # on one cell the assembled matrix is the cell matrix with its DOFs
+        # renumbered, so the constrained matrix is a block of the cell
+        # matrix: the free DOFs in the natural order apply_constraints
+        # keeps on a 1x1 grid, each mapped to its cell-local index
+        cell_dofs = (2 * mesh.cells[0][:, None] + np.arange(2)).ravel()
+        free = np.setdiff1d(
+            np.arange(mesh.n_dofs), benchmarks.case_constraints(case, mesh).dofs
+        )
+        keep = np.argsort(cell_dofs)[free]
         spectra = []
         for model in config.models:
             for nu in config.nus:
                 material = Material(config.young_modulus, nu, config.thickness, config.regime)
-                system = lattice.assemble(mesh, cell_matrix(calibrate(material, model)))
-                reduced = lattice.apply_constraints(system, constraints)
-                values = lattice.constrained_spectrum(reduced) / scale
+                block = cell_matrix(calibrate(material, model))[np.ix_(keep, keep)]
+                values = np.linalg.eigvalsh(block) / scale
                 spectra.append((model, config.regime, nu) + tuple(values))
         n_eigs = len(spectra[0]) - 3 if spectra else 0
         spec_header = ["model", "regime", "nu"] + [
@@ -428,6 +435,7 @@ def _run_benchmark(config: RunConfig, write_fields: bool) -> int:
         "negative_pivots",
         "indefinite",
         "failed",
+        "inertia_source",
     ]
     runs = [
         (
@@ -470,6 +478,8 @@ def _run_benchmark(config: RunConfig, write_fields: bool) -> int:
                     mesh_error.inertia[0] if mesh_error.inertia else 0,
                     mesh_error.indefinite,
                     mesh_error.failed,
+                    # without it an unknown inertia reads as 0 negative pivots
+                    "unknown" if mesh_error.inertia is None else "factor",
                 )
             )
             if mesh_error.failed:

@@ -16,12 +16,21 @@ from lsm2d import (
     MODELS,
     MODIFIED,
     PURE_BENDING,
+    LatticeSpec,
+    Material,
     SingularSystemError,
+    apply_constraints,
+    assemble,
+    build_mesh,
+    calibrate,
+    case_constraints,
+    cell_matrix,
+    constrained_spectrum,
     make_case,
     run_case,
     uniaxial_case,
 )
-from lsm2d.cli import REGIME_NAMES, main, read_field_csv, write_csv
+from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, read_field_csv, write_csv
 from oracles import csv_cell
 
 
@@ -116,6 +125,34 @@ class TestEigenCommand:
         # the roller-supported uniaxial cell keeps Born stable at 0.49
         assert (smallest[("born", 0.49)] < 0.0) == (case != "uniaxial")
         assert smallest[("modified", 0.49)] > 0.0
+
+    @pytest.mark.parametrize("regime", sorted(REGIME_NAMES))
+    @pytest.mark.parametrize("case", sorted(CASE_NAMES))
+    def test_constrained_spectrum_equals_assembled_route(self, tmp_path, case, regime):
+        # the oracle assembles and constrains the 1x1 lattice; the command
+        # takes the constrained block straight from the cell matrix
+        nus = (0.0, 0.25, 1.0 / 3.0, 0.45, 0.49)
+        assert main(
+            [
+                "eigen",
+                "--out", str(tmp_path),
+                "--case", case,
+                "--regime", regime,
+                "--nu", ",".join(repr(nu) for nu in nus),
+            ]
+        ) == 0
+        _, rows = read_table(tmp_path / "constrained_spectrum.csv")
+        plate = make_case(CASE_NAMES[case], 0.0)
+        mesh = build_mesh(LatticeSpec(1, 1, cell_size=plate.height))
+        constraints = case_constraints(plate, mesh)
+        expected = []
+        for model in MODELS:
+            for nu in nus:
+                material = Material(2e11, nu, 0.01, REGIME_NAMES[regime])
+                system = assemble(mesh, cell_matrix(calibrate(material, model)))
+                values = constrained_spectrum(apply_constraints(system, constraints)) / 2e9
+                expected.append([model, REGIME_NAMES[regime], csv_cell(nu)] + [csv_cell(v) for v in values])
+        assert [list(row.values()) for row in rows] == expected
 
 
 class TestBenchmarkCommand:
@@ -222,6 +259,52 @@ class TestBenchmarkCommand:
         _, rows = read_table(tmp_path / "convergence_uniaxial.csv")
         assert rows[0]["failed"] == "true"
         assert rows[0]["rel_l2"] == "nan"
+
+    def test_inertia_source_column(self, tmp_path, monkeypatch):
+        def convergence(out, model, nu):
+            return main(
+                [
+                    "convergence",
+                    "--out", str(out),
+                    "--case", "bending",
+                    "--model", model,
+                    "--nu", nu,
+                    "--mesh", "8x2",
+                ]
+            )
+
+        assert convergence(tmp_path / "factor", "born", "0.49") == 0
+        header, rows = read_table(tmp_path / "factor" / "convergence_bending.csv")
+        assert header[-1] == "inertia_source"
+        assert rows[0]["inertia_source"] == "factor"
+        assert int(rows[0]["negative_pivots"]) > 0
+
+        # an unstable Born row whose inertia is not known must not pass
+        # for a verified-stable one
+        monkeypatch.setattr("lsm2d.lattice._pivot_inertia", lambda factor: None)
+        assert convergence(tmp_path / "none", "born", "0.49") == 0
+        _, rows = read_table(tmp_path / "none" / "convergence_bending.csv")
+        assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("0", "false")
+        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("false", "unknown")
+
+    def test_inertia_source_unknown_when_splu_raises(self, tmp_path, monkeypatch):
+        def broken_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr("lsm2d.lattice.splu", broken_splu)
+        assert main(
+            [
+                "benchmark",
+                "--out", str(tmp_path),
+                "--case", "uniaxial",
+                "--model", "modified",
+                "--nu", "0.3",
+                "--mesh", "2x2",
+            ]
+        ) == 3
+        _, rows = read_table(tmp_path / "errors_uniaxial.csv")
+        assert int(rows[0]["negative_pivots"]) == 0
+        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("true", "unknown")
 
 
 class TestSweep:

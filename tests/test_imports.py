@@ -1,0 +1,68 @@
+"""What importing lsm2d loads.
+
+Importing scipy.optimize also loads scipy.fft, scipy.special and
+scipy.spatial, which cost a quarter of a second and about 17 MiB, and
+only ``eigen_analysis`` needs it. So the package, its CLI and every solve
+path load only numpy and scipy.sparse (with what scipy.sparse.linalg
+imports), and ``eigen_analysis`` imports scipy.optimize on first use. Each
+check runs in a fresh interpreter, since this one has imported everything
+the suite touches.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lsm2d import EIGENFORMS, MODELS, Material, calibrate
+from oracles import closed_form_eigenvalues
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import lsm2d, lsm2d.cli
+
+loaded = {"import": "scipy.optimize" in sys.modules}
+case = lsm2d.make_case(lsm2d.CANTILEVER, 0.45, mesh_sizes=((8, 2),))
+for model in lsm2d.MODELS:
+    lsm2d.run_case(case, model)
+loaded["run_case"] = "scipy.optimize" in sys.modules
+spectra = {}
+for model in lsm2d.MODELS:
+    stiffness = lsm2d.calibrate(lsm2d.Material(2e11, 0.3, 0.01), model)
+    spectra[model] = lsm2d.eigen_analysis(lsm2d.cell_matrix(stiffness)).classification
+loaded["eigen_analysis"] = "scipy.optimize" in sys.modules
+print(json.dumps({"loaded": loaded, "spectra": spectra}))
+"""
+
+
+@pytest.fixture(scope="module")
+def probe() -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_and_solve_leave_scipy_optimize_unloaded(probe):
+    assert probe["loaded"]["import"] is False
+    assert probe["loaded"]["run_case"] is False
+
+
+def test_eigen_analysis_loads_scipy_optimize_and_labels_modes(probe):
+    assert probe["loaded"]["eigen_analysis"] is True
+    for model in MODELS:
+        ks = calibrate(Material(2e11, 0.3, 0.01), model)
+        expected = closed_form_eigenvalues(model, ks.k_n1, ks.k_s1, ks.k_n2)
+        scale = max(abs(v) for v in expected.values())
+        classification = probe["spectra"][model]
+        for label in EIGENFORMS:
+            assert classification[label] == pytest.approx(expected[label], abs=1e-9 * scale)
