@@ -178,6 +178,8 @@ def _parse_nus(text: str) -> tuple[float, ...]:
     for nu in nus:
         if not 0.0 <= nu < 0.5:
             raise UsageError(f"nu must lie in [0, 0.5), got {nu}")
+    if len(set(nus)) != len(nus):
+        raise UsageError(f"repeated nu in {text!r}")
     return nus
 
 
@@ -199,6 +201,8 @@ def _parse_meshes(text: str) -> tuple[tuple[int, int], ...]:
         meshes.append((nx, ny))
     if not meshes:
         raise UsageError("empty mesh list")
+    if len(set(meshes)) != len(meshes):
+        raise UsageError(f"repeated mesh in {text!r}")
     return tuple(meshes)
 
 

@@ -23,13 +23,15 @@ of particles separates the grid, so the order follows from nx and ny alone,
 and the reduced matrix is factored as given, with no further ordering. The
 solver reports the inertia (negative pivot count) of the reduced matrix
 because intentionally indefinite systems are part of the workflow: they
-factorize and solve, but the result must carry an instability flag.
+factorize and solve, but the result must carry an instability flag. A solve
+without the inertia factors only the half-height blocks that the load
+excites of a plate mirror-symmetric about its axis, supports included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -198,19 +200,22 @@ class GlobalSystem:
 
     ``order`` is the elimination order of all DOFs; constraint elimination
     keeps the free ones in it, and the factorization uses it as given.
+    ``mirror`` maps each DOF to its mirror image, if any (see ``assemble``).
     """
 
     stiffness: scipy.sparse.csr_matrix
     forces: np.ndarray
     order: np.ndarray
+    mirror: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
     """Global system after constraint elimination.
 
-    ``free`` maps reduced indices back to global DOFs; ``fixed`` and
-    ``fixed_values`` keep the eliminated data for re-insertion.
+    ``free`` maps reduced indices back to global DOFs, and ``mirror`` to
+    those of their images if the supports are zero and mirror-symmetric
+    too; ``fixed`` and ``fixed_values`` keep the eliminated data.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -219,6 +224,7 @@ class ReducedSystem:
     fixed: np.ndarray
     fixed_values: np.ndarray
     n_dofs: int
+    mirror: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ class Solution:
             matrix, or None when not computed or when the factor pivoted
             off the diagonal.
         indefinite: True when the reduced matrix has negative pivots.
-        factor_nnz: stored entries of the factor, nnz(L+U); its fill-in.
+        factor_nnz: nnz(L+U) summed over the factors computed; their fill-in.
     """
 
     u: np.ndarray
@@ -394,6 +400,20 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
     return values.ravel()
 
 
+def _grid_mirror(nx: int, ny: int) -> np.ndarray | None:
+    """DOF map of the particle mirror (ix, iy) -> (ix, ny - iy); None for odd ny."""
+    particles = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)[::-1].ravel()
+    return None if ny % 2 else np.column_stack([2 * particles, 2 * particles + 1]).ravel()
+
+
+def _mirror_symmetric(values: np.ndarray) -> bool:
+    # a table's mirror image swaps lower and upper corner roles (mask bits
+    # 0 <-> 3 and 1 <-> 2), flips dy and changes the sign of v components
+    swapped = [int(f"{mask:04b}"[::-1], 2) for mask in range(16)]
+    table, sign = values.reshape(16, 3, 2, 3, 2), np.array([1.0, -1.0])
+    return np.array_equal(table[swapped][:, ::-1] * sign[:, None, None] * sign, table)
+
+
 def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
     """Global sparse stiffness matrix of a lattice with one cell matrix.
 
@@ -403,7 +423,8 @@ def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
     one gather fills it. Interior edge bonds thereby receive both cells'
     half weights. The rows hold sorted, unique column indices, as a
     COO-to-CSR conversion would give. The system carries the grid's
-    nested-dissection order for the factorization.
+    nested-dissection order for the factorization, and its mirror
+    (ix, iy) -> (ix, ny - iy) if ny is even and the cell matrix allows it.
     """
     values = stencil_values(cell_matrix)
     nx, ny = mesh.spec.nx, mesh.spec.ny
@@ -411,6 +432,7 @@ def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
         stiffness=_lattice_stencil(nx, ny).fill(values),
         forces=np.zeros(mesh.n_dofs),
         order=_nested_dissection(nx, ny),
+        mirror=_grid_mirror(nx, ny) if _mirror_symmetric(values) else None,
     )
 
 
@@ -484,6 +506,15 @@ def _free_dofs(order: np.ndarray, constraints: Constraints, n: int) -> np.ndarra
     return order[~np.isin(order, fixed)]
 
 
+def _reduced_mirror(mirror, free: np.ndarray, constraints: Constraints) -> np.ndarray | None:
+    fixed = constraints.dofs
+    if mirror is None or np.any(constraints.values) or not np.isin(mirror[fixed], fixed).all():
+        return None
+    position = np.empty(mirror.size, dtype=np.intp)
+    position[free] = np.arange(free.size)
+    return position[mirror[free]]
+
+
 def apply_constraints(system: GlobalSystem, constraints: Constraints) -> ReducedSystem:
     """Eliminate constrained DOFs from the system.
 
@@ -506,6 +537,7 @@ def apply_constraints(system: GlobalSystem, constraints: Constraints) -> Reduced
         fixed=constraints.dofs,
         fixed_values=constraints.values,
         n_dofs=n,
+        mirror=_reduced_mirror(system.mirror, free, constraints),
     )
 
 
@@ -523,6 +555,7 @@ class ReducedStencil:
     fixed: np.ndarray
     fixed_values: np.ndarray
     n_dofs: int
+    mirror: np.ndarray | None = None
 
     def fill(self, values: np.ndarray) -> ReducedSystem:
         return ReducedSystem(
@@ -532,6 +565,7 @@ class ReducedStencil:
             fixed=self.fixed,
             fixed_values=self.fixed_values,
             n_dofs=self.n_dofs,
+            mirror=self.mirror if _mirror_symmetric(values) else None,
         )
 
 
@@ -558,6 +592,7 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         fixed=constraints.dofs,
         fixed_values=constraints.values,
         n_dofs=mesh.n_dofs,
+        mirror=_reduced_mirror(_grid_mirror(nx, ny), free, constraints),
     )
 
 
@@ -573,17 +608,62 @@ def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:
     return neg, pivots.size - neg - pos, pos
 
 
+def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
+    try:
+        return splu(
+            matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as exc:  # singular factorization
+        raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
+
+
+def _mirror_solver(reduced: ReducedSystem) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Solver through the mirror blocks that the right-hand side excites.
+
+    A field of parity s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y
+    DOFs, so only x (s = 1) or y (s = -1) moves on the axis. Each cell lies
+    in one half of the plate: the block is K on the lower and moving axis
+    DOFs, axis-axis entries halved. A zero load factors both blocks, so
+    that a singular matrix can still raise.
+    """
+    mirror, free = reduced.mirror, reduced.free
+    axis = mirror == np.arange(mirror.size)
+    blocks = []
+    for s in (1.0, -1.0):
+        parity = np.where(free % 2, -s, s)
+        rows = np.flatnonzero((free[mirror] > free) | axis & (parity > 0))
+        # zero on the axis, where the fold halves the load and the unfold adds nothing
+        sign = np.where(axis, 0.0, parity)[rows]
+        if not np.any(reduced.rhs) or np.any(reduced.rhs[rows] + sign * reduced.rhs[mirror[rows]]):
+            block, on_axis = reduced.matrix[rows][:, rows], axis[rows]
+            block.data[np.repeat(on_axis, np.diff(block.indptr)) & on_axis[block.indices]] *= 0.5
+            blocks.append((rows, mirror[rows], sign, _factor(block)))
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        u = np.zeros_like(rhs)
+        for rows, image, sign, factor in blocks:
+            y = factor.solve(0.5 * (rhs[rows] + sign * rhs[image]))
+            u[rows] += y
+            u[image] += sign * y
+        return u
+
+    return apply, sum(int(factor.nnz) for *_, factor in blocks)
+
+
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
     One factorization, with diagonal pivots so that its pivot signs are the
     inertia. The matrix is factored in the order it comes in: a lattice's
     reduced DOFs are already in nested-dissection order (see ``assemble``).
+    Without the inertia, a system with a mirror factors instead only the
+    half-height blocks its load excites: one, at under half the fill, for
+    the odd loads of the bending and cantilever plates.
 
     Args:
         reduced: system after constraint elimination.
-        compute_inertia: also count the pivot signs; skip to avoid
-            copying the factor when stability is known.
+        compute_inertia: also count the pivot signs; skip when stability
+            is known. A singular block the load does not excite then passes.
 
     Returns:
         Solution with the full displacement vector (prescribed DOFs
@@ -594,23 +674,19 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
             solution, or residual above 1e-10 times the load norm.
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
-    try:
-        factor = splu(
-            reduced.matrix.tocsc(),
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # singular factorization
-        raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
-    inertia = _pivot_inertia(factor) if compute_inertia else None
-    u_free = factor.solve(reduced.rhs)
+    if compute_inertia or reduced.mirror is None:
+        factor = _factor(reduced.matrix)
+        apply, factor_nnz = factor.solve, int(factor.nnz)
+        inertia = _pivot_inertia(factor) if compute_inertia else None
+    else:
+        (apply, factor_nnz), inertia = _mirror_solver(reduced), None
+    u_free = apply(reduced.rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)
     residual = float(np.linalg.norm(reduced.matrix @ u_free - reduced.rhs))
     if residual > 1e-10 * rhs_norm:
         # one step of iterative refinement rescues marginal conditioning
-        u_free = u_free + factor.solve(reduced.rhs - reduced.matrix @ u_free)
+        u_free = u_free + apply(reduced.rhs - reduced.matrix @ u_free)
         residual = float(np.linalg.norm(reduced.matrix @ u_free - reduced.rhs))
         if residual > 1e-10 * rhs_norm:
             raise SingularSystemError(
@@ -627,7 +703,7 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
         residual=residual,
         inertia=inertia,
         indefinite=bool(inertia and inertia[0] > 0),
-        factor_nnz=int(factor.nnz),
+        factor_nnz=factor_nnz,
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.linalg import splu
 
 # corner order A, B, C, D; DOF order [u_A, v_A, ..., u_D, v_D]
 _CORNER_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
@@ -180,6 +181,27 @@ def eigenvalue_inertia(matrix) -> tuple[int, int, int]:
     neg = int(np.sum(eigenvalues < -cutoff))
     pos = int(np.sum(eigenvalues > cutoff))
     return neg, eigenvalues.size - neg - pos, pos
+
+
+def whole_factor_solve(reduced) -> tuple[np.ndarray, int]:
+    """Full displacement vector of a reduced system from one factor of its whole matrix.
+
+    SuperLU in the matrix's own order with diagonal pivots, as ``solve``
+    factors a system with the inertia, and one step of iterative
+    refinement. Returns the displacements and nnz(L+U).
+    """
+    factor = splu(
+        reduced.matrix.tocsc(),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    x = factor.solve(reduced.rhs)
+    x += factor.solve(reduced.rhs - reduced.matrix @ x)
+    u = np.zeros(reduced.n_dofs)
+    u[reduced.free] = x
+    u[reduced.fixed] = reduced.fixed_values
+    return u, int(factor.nnz)
 
 
 def coo_assembly(mesh, cell_matrix) -> scipy.sparse.csr_matrix:

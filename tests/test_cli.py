@@ -467,6 +467,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mesh", ["8x2,8x2", "8x2,16x4,8X2"])
+    def test_repeated_mesh_rejected(self, tmp_path, mesh):
+        argv = ["benchmark", "--out", str(tmp_path), "--case", "cantilever", "--mesh", mesh]
+        assert main(argv) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["benchmark", "calibrate"])
+    def test_repeated_nu_rejected(self, tmp_path, command):
+        argv = [command, "--out", str(tmp_path), "--nu", "0.3,0.30"]
+        if command == "benchmark":
+            argv += ["--case", "cantilever", "--mesh", "8x2"]
+        assert main(argv) == 2
+        assert not list(tmp_path.iterdir())
+
     def test_argparse_level_errors(self):
         assert main(["frobnicate"]) == 2
         assert main(["benchmark", "--case", "torsion"]) == 2

@@ -44,7 +44,7 @@ from lsm2d import (
     stencil_values,
 )
 from lsm2d.lattice import _nested_dissection
-from oracles import coo_assembly, eigenvalue_inertia, sliced_reduction
+from oracles import coo_assembly, eigenvalue_inertia, sliced_reduction, whole_factor_solve
 
 
 def make_system(nx, ny, stiffness, cell_size=1.0, origin=(0.0, 0.0)):
@@ -636,9 +636,13 @@ class TestFactorOrdering:
 
     def test_less_fill_than_minimum_degree(self):
         system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (256, 64))
-        solution = solve(apply_constraints(system, constraints), compute_inertia=False)
+        reduced = apply_constraints(system, constraints)
+        # the inertia takes the whole matrix, in nested-dissection order
+        solution = solve(reduced)
         natural = apply_constraints(natural_order(system), constraints)
         assert solution.factor_nnz <= 0.9 * mmd_factor(natural).nnz
+        # a solve without it factors only the odd mirror block
+        assert solve(reduced, compute_inertia=False).factor_nnz < 0.6 * solution.factor_nnz
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_indefinite_born_matches_minimum_degree(self, regime):
@@ -656,6 +660,137 @@ class TestFactorOrdering:
         u[natural.free] = factor.solve(natural.rhs)
         np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
         assert solution.factor_nnz >= natural.matrix.nnz
+
+
+# sigma: the mirror (x, y) -> (x, -y) keeps u and flips v
+SIGMA = np.array([1.0, -1.0])
+
+
+class TestMirrorSplit:
+    """Solves without the inertia factor only the mirror blocks the load excites."""
+
+    @pytest.mark.parametrize("nx,ny", [(1, 2), (3, 4), (8, 2), (5, 6)])
+    def test_lattice_mirror(self, nx, ny):
+        mesh, system = make_system(nx, ny, modified_set())
+        mirror, dofs = system.mirror, np.arange(mesh.n_dofs)
+        np.testing.assert_array_equal(mirror[mirror], dofs)
+        # fixed points are exactly the DOFs of the axis row iy = ny / 2
+        on_axis = np.repeat(mesh.positions[:, 1] == ny / 2, 2)
+        np.testing.assert_array_equal(mirror == dofs, on_axis)
+        # each image is the same component at the mirrored particle
+        positions = np.repeat(mesh.positions, 2, axis=0)
+        np.testing.assert_array_equal(mirror % 2, dofs % 2)
+        np.testing.assert_array_equal(positions[mirror], positions * [1.0, -1.0] + [0.0, ny])
+        # and the stiffness is symmetric under the signed mirror, entry for entry
+        sign = scipy.sparse.diags(np.tile(SIGMA, mesh.n_particles))
+        image = sign @ system.stiffness[mirror][:, mirror] @ sign
+        assert (image != system.stiffness).nnz == 0
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("model", lsm2d.MODELS)
+    def test_calibrated_cells_are_mirror_symmetric(self, model, regime):
+        mesh = build_mesh(LatticeSpec(2, 2, 1.0))
+        for nu in np.linspace(0.0, 0.49, 50):
+            cell = cell_matrix(calibrate(Material(2e11, nu, 0.01, regime), model))
+            assert assemble(mesh, cell).mirror is not None, nu
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("model", lsm2d.MODELS)
+    def test_reduced_mirror(self, kind, model):
+        system, constraints = loaded_case(kind, model, 0.3, PLANE_STRESS, (16, 4))
+        reduced = apply_constraints(system, constraints)
+        mirror, free = reduced.mirror, reduced.free
+        np.testing.assert_array_equal(mirror[mirror], np.arange(free.size))
+        np.testing.assert_array_equal(free[mirror], system.mirror[free])
+        axis = system.mirror == np.arange(system.forces.size)
+        np.testing.assert_array_equal(mirror == np.arange(free.size), axis[free])
+        assert np.isin(system.mirror[reduced.fixed], reduced.fixed).all()
+        # the sweep's path carries the same mirror
+        case = lsm2d.make_case(kind, 0.3, mesh_sizes=((16, 4),))
+        mesh = case_mesh(case, (16, 4))
+        stencil = reduce_stencil(mesh, system.forces, constraints)
+        filled = stencil.fill(stencil_values(cell_matrix(calibrate(case.material, model))))
+        np.testing.assert_array_equal(filled.mirror, mirror)
+
+    def test_no_mirror(self, rng):
+        for kind in (UNIAXIAL, PURE_SHEAR):
+            system, constraints = loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, (2, 2))
+            assert system.mirror is not None
+            assert apply_constraints(system, constraints).mirror is None
+        system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (8, 2))
+        moved = Constraints(constraints.dofs, np.where(constraints.dofs % 2, 0.0, 1e-6))
+        assert apply_constraints(system, constraints).mirror is not None
+        assert apply_constraints(system, moved).mirror is None
+        assert make_system(4, 3, modified_set())[1].mirror is None
+        cell = rng.normal(size=(8, 8))
+        cell = cell + cell.T
+        mesh, system = make_system(4, 2, modified_set())
+        assert system.mirror is not None
+        assert assemble(mesh, cell).mirror is None
+        pairs = fix_nodes(mesh.edge_nodes("left"), "xy")
+        stencil = reduce_stencil(mesh, np.ones(mesh.n_dofs), Constraints.from_pairs(pairs))
+        assert stencil.mirror is not None
+        assert stencil.fill(stencil_values(cell)).mirror is None
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize(
+        "model,nu",
+        [(BORN, 0.0), (BORN, 0.3), (BORN, 0.45), (BORN, 0.49)]
+        + [(MODIFIED, 0.0), (MODIFIED, 0.3), (MODIFIED, 0.49)],
+    )
+    def test_solve_matches_whole_factor(self, kind, regime, model, nu):
+        # Born at 0.45 and 0.49 is indefinite and must still solve
+        for size in ((8, 2), (32, 8), (128, 32)):
+            reduced = apply_constraints(*loaded_case(kind, model, nu, regime, size))
+            assert reduced.mirror is not None
+            if (kind, model, nu, regime) == (CANTILEVER, MODIFIED, 0.49, PLANE_STRAIN) and (
+                size == (128, 32)
+            ):
+                # nearly incompressible: the whole factor, refined once, also
+                # misses the 1e-10 residual tolerance here (1.5e-10)
+                for compute_inertia in (True, False):
+                    with pytest.raises(SingularSystemError, match="residual"):
+                        solve(reduced, compute_inertia=compute_inertia)
+                continue
+            solution = solve(reduced, compute_inertia=False)
+            u, factor_nnz = whole_factor_solve(reduced)
+            np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+            assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+            assert solution.factor_nnz < 0.6 * factor_nnz
+            assert solution.inertia is None
+
+    def test_random_load_excites_both_blocks(self, rng):
+        reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRAIN, (32, 8)))
+        odd = solve(reduced, compute_inertia=False)
+        loaded = dataclasses.replace(reduced, rhs=rng.normal(size=reduced.rhs.size) * 1e5)
+        solution = solve(loaded, compute_inertia=False)
+        u, factor_nnz = whole_factor_solve(loaded)
+        np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+        assert solution.residual <= 1e-10 * np.linalg.norm(loaded.rhs)
+        assert odd.factor_nnz < solution.factor_nnz < factor_nnz
+        # a zero load factors both blocks too, so that a singular one can raise
+        zero = dataclasses.replace(reduced, rhs=np.zeros_like(reduced.rhs))
+        unloaded = solve(zero, compute_inertia=False)
+        assert np.all(unloaded.u == 0.0)
+        assert unloaded.factor_nnz == solution.factor_nnz
+
+    @pytest.mark.parametrize("model", lsm2d.MODELS)
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (4, 2), (4, 4)])
+    @pytest.mark.parametrize("load", ["x", "y", "random"])
+    def test_unconstrained_lattices_raise(self, rng, model, nx, ny, load):
+        mesh, system = make_system(nx, ny, StiffnessSet(model, 2.0, 1.0, 3.0))
+        forces = np.zeros(mesh.n_dofs)
+        if load == "random":
+            forces = rng.normal(size=mesh.n_dofs)
+        else:
+            forces[int(load == "y") :: 2] = 1.0  # thrust along a free translation
+        reduced = apply_constraints(
+            dataclasses.replace(system, forces=forces), Constraints.from_pairs([])
+        )
+        assert reduced.mirror is not None
+        with pytest.raises(SingularSystemError):
+            solve(reduced, compute_inertia=False)
 
 
 class TestConstrainedSpectrum:

@@ -4,8 +4,9 @@ Each property loops over every mesh of a small range, or over a seeded
 sample where the input is continuous, rather than over a few fixed
 points: the assembled stiffness is bitwise symmetric, the unconstrained
 stiffness has exactly the rigid-body null space of its model, support
-reactions balance the applied loads, and affine fields are exact on
-lattices of any cell size, placement and aspect ratio.
+reactions balance the applied loads, affine fields are exact on lattices
+of any cell size, placement and aspect ratio, and the inertia read from
+the solve's factor is the eigenvalue count.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from lsm2d import (
     stencil_values,
     sweep,
 )
+from oracles import eigenvalue_inertia
 
 NUS = (0.0, 0.3, 0.49)
 RIGID_MODES = {MODIFIED: 3, BORN: 2}
@@ -124,3 +126,26 @@ def test_affine_fields_exact_on_random_lattices(rng, regime):
                 error = solve(stencil.fill(values)).displacements - reference
                 subject = (kind, model, nx, ny, cell_size, origin, material.poisson_ratio)
                 assert np.linalg.norm(error) <= 1e-9 * np.linalg.norm(reference), subject
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("model", MODELS)
+def test_factor_inertia_is_the_eigenvalue_count(rng, model, regime):
+    # Sylvester's law: the pivot signs of the solve's own factor count the
+    # negative, zero and positive eigenvalues, under every support set
+    indefinite = 0
+    for _ in range(10):
+        nx, ny = (int(n) for n in rng.integers(1, 7, size=2))
+        material = Material(2e11, rng.uniform(0.0, 0.49), 0.01, regime)
+        mesh = build_mesh(LatticeSpec(nx, ny, 0.01))
+        values = stencil_values(cell_matrix(calibrate(material, model)))
+        for kind in CASE_KINDS:
+            case = BenchmarkCase(kind, nx * 0.01, ny * 0.01, material, 1e8, ((nx, ny),))
+            forces = rng.normal(size=mesh.n_dofs)
+            reduced = reduce_stencil(mesh, forces, case_constraints(case, mesh)).fill(values)
+            subject = (kind, nx, ny, material.poisson_ratio)
+            inertia = solve(reduced).inertia
+            assert inertia == eigenvalue_inertia(reduced.matrix), subject
+            indefinite += inertia[0] > 0
+    # the sample reaches past the Born thresholds; the multi-bond cell stays definite
+    assert (indefinite > 0) == (model == BORN)
