@@ -662,10 +662,6 @@ class TestFactorOrdering:
         assert solution.factor_nnz >= natural.matrix.nnz
 
 
-# sigma: the mirror (x, y) -> (x, -y) keeps u and flips v
-SIGMA = np.array([1.0, -1.0])
-
-
 class TestMirrorSplit:
     """Solves without the inertia factor only the mirror blocks the load excites."""
 
@@ -681,8 +677,9 @@ class TestMirrorSplit:
         positions = np.repeat(mesh.positions, 2, axis=0)
         np.testing.assert_array_equal(mirror % 2, dofs % 2)
         np.testing.assert_array_equal(positions[mirror], positions * [1.0, -1.0] + [0.0, ny])
-        # and the stiffness is symmetric under the signed mirror, entry for entry
-        sign = scipy.sparse.diags(np.tile(SIGMA, mesh.n_particles))
+        # and the stiffness is symmetric under the signed mirror, entry for
+        # entry: the mirror keeps u and flips v
+        sign = scipy.sparse.diags(np.tile([1.0, -1.0], mesh.n_particles))
         image = sign @ system.stiffness[mirror][:, mirror] @ sign
         assert (image != system.stiffness).nnz == 0
 
