@@ -1,15 +1,21 @@
-"""Stiffness matrices and spectral analysis of the square four-particle cell.
+"""Bond geometry, stiffness matrices and spectral analysis of the square cell.
 
 The cell has corners A (lower left), B (lower right), C (upper right),
 D (upper left) and the fixed displacement ordering
 
     [u_A, v_A, u_B, v_B, u_C, v_C, u_D, v_D].
 
-Edge bonds (length l) enter with contribution factor 1/2 because the
-tiling shares them between two cells; diagonals (length sqrt(2) l) belong
-to one cell and enter with factor 1. Both 8x8 matrices are assembled from
-five closed-form entries; the per-bond energy route exists in the test
-suite as an independent oracle.
+Four 8x8 basis matrices are summed once from the integer bond vectors:
+N1 from the normal springs of the four edges, N2 from those of the two
+diagonals, S_born from an independent shear spring on every bond, and
+S_modified from the multi-bond shear, which couples the slips of
+consecutive edges and of the two diagonals. A stiffness set's cell matrix
+is k_n1 N1 + k_n2 N2 + k_s1 S, with S the shear basis of its model; that
+is the only place where the two bond models differ. Projected onto a
+displacement gradient, the same bases give the affine cell energy and the
+homogenized elasticity tensor. Every basis entry is an exact dyadic
+rational; the per-bond energies and the closed forms in the test suite
+are independent oracles for them.
 
 The classical Born cell stores energy under rigid rotation (its shear
 springs penalise any change of bond orientation), so rotation appears as
@@ -21,11 +27,12 @@ mode for every stiffness set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import BORN, MODIFIED, StiffnessSet
+from .materials import BORN, MODIFIED, ElasticityTensor2D, StiffnessSet
 
 DOF_ORDER = ("u_A", "v_A", "u_B", "v_B", "u_C", "v_C", "u_D", "v_D")
 
@@ -44,10 +51,10 @@ POSITIVE_DEFINITE_ON_DEFORMATIONS = "positive_definite_on_deformations"
 SEMIDEFINITE_DEGENERATE = "semidefinite_degenerate"
 INDEFINITE = "indefinite"
 
-# Corner coordinates of a unit cell centered on the origin, in A, B, C, D
-# order. Used only to generate canonical mode shapes; the matrices do not
-# depend on absolute positions.
-_CORNERS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+# Corner positions in units of the edge length, in A, B, C, D order.
+_POSITIONS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+# The same corners centered on the origin, for the canonical mode shapes.
+_CORNERS = _POSITIONS - 0.5
 
 
 def _normalized(vec: np.ndarray) -> np.ndarray:
@@ -112,85 +119,6 @@ class EigenReport:
     resolved: bool
 
 
-def _symmetric_from_lower(rows: list[list[float]]) -> np.ndarray:
-    mat = np.zeros((8, 8))
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            mat[i, j] = value
-            mat[j, i] = value
-    return mat
-
-
-def born_matrix(stiffness: StiffnessSet) -> np.ndarray:
-    """8x8 stiffness matrix of the Born cell.
-
-    Args:
-        stiffness: must carry model tag "born".
-
-    Returns:
-        Symmetric ndarray in N/m, DOF order ``DOF_ORDER``.
-    """
-    if stiffness.model != BORN:
-        raise ValueError(f"expected a born stiffness set, got {stiffness.model!r}")
-    kn1, ks1, kn2 = stiffness.k_n1, stiffness.k_s1, stiffness.k_n2
-    k1 = 0.5 * kn1 + 0.5 * kn2 + ks1
-    k2 = 0.5 * kn2 - 0.5 * ks1
-    k3 = -0.5 * kn1
-    k4 = -0.5 * kn2 - 0.5 * ks1
-    k5 = -0.5 * ks1
-    return _symmetric_from_lower(
-        [
-            [k1],
-            [k2, k1],
-            [k3, 0.0, k1],
-            [0.0, k5, -k2, k1],
-            [k4, -k2, k5, 0.0, k1],
-            [-k2, k4, 0.0, k3, k2, k1],
-            [k5, 0.0, k4, k2, k3, 0.0, k1],
-            [0.0, k3, k2, k4, 0.0, k5, -k2, k1],
-        ]
-    )
-
-
-def modified_matrix(stiffness: StiffnessSet) -> np.ndarray:
-    """8x8 stiffness matrix of the multi-bond cell.
-
-    Args:
-        stiffness: must carry model tag "modified".
-
-    Returns:
-        Symmetric ndarray in N/m, DOF order ``DOF_ORDER``. Annihilates
-        the rotation mode for every stiffness set.
-    """
-    if stiffness.model != MODIFIED:
-        raise ValueError(f"expected a modified stiffness set, got {stiffness.model!r}")
-    kn1, ks1, kn2 = stiffness.k_n1, stiffness.k_s1, stiffness.k_n2
-    k1 = 0.5 * kn1 + 0.5 * kn2 + ks1
-    k2 = 0.5 * kn2 - 0.25 * ks1
-    k3 = -0.5 * kn1 - 0.5 * ks1
-    k4 = -0.75 * ks1
-    k5 = -0.5 * kn2 - 0.5 * ks1
-    return _symmetric_from_lower(
-        [
-            [k1],
-            [k2, k1],
-            [k3, -k4, k1],
-            [k4, 0.0, -k2, k1],
-            [k5, -k2, 0.0, -k4, k1],
-            [-k2, k5, k4, k3, k2, k1],
-            [0.0, k4, k5, k2, k3, -k4, k1],
-            [-k4, k3, k2, k5, k4, 0.0, -k2, k1],
-        ]
-    )
-
-
-def cell_matrix(stiffness: StiffnessSet) -> np.ndarray:
-    """Dispatch to the matrix builder matching the stiffness model tag."""
-    if stiffness.model == BORN:
-        return born_matrix(stiffness)
-    return modified_matrix(stiffness)
-
-
 def corner_displacements(grad: Gradient2D, cell_size: float) -> np.ndarray:
     """Displacements induced at the four corners by an affine field.
 
@@ -198,47 +126,155 @@ def corner_displacements(grad: Gradient2D, cell_size: float) -> np.ndarray:
     corners of a cell with edge length ``cell_size``. The origin drops
     out of every energy expression, so it is fixed at corner A.
     """
-    xy = _CORNERS * cell_size + 0.5 * cell_size
+    xy = _POSITIONS * cell_size
     u = np.empty(8)
     u[0::2] = grad.e_xx * xy[:, 0] + grad.e_xy * xy[:, 1]
     u[1::2] = grad.e_yx * xy[:, 0] + grad.e_yy * xy[:, 1]
     return u
 
 
+# Edge bonds in order around the cell, so consecutive edges share a corner,
+# and the two diagonals; corner indices into _POSITIONS.
+_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
+_DIAGONALS = ((0, 2), (1, 3))
+
+# B: the corner displacements of a unit cell per unit gradient component,
+# one column each for e_xx, e_xy, e_yx and e_yy
+_GRADIENT_TO_CORNERS = np.column_stack(
+    [corner_displacements(Gradient2D(*unit), 1.0) for unit in np.eye(4)]
+)
+
+
+def _bond(p: int, q: int, shear: bool = False) -> np.ndarray:
+    """Integer row r with r . u = d . (u_q - u_p), d the bond vector x_q - x_p.
+
+    With ``shear``, d is turned to (-d_y, d_x) and r . u measures the slip.
+    Divided by |d|, r . u is the bond's normal stretch or shear slip.
+    """
+    d = _POSITIONS[q] - _POSITIONS[p]
+    if shear:
+        d = np.array([-d[1], d[0]])
+    row = np.zeros(8)
+    row[2 * q : 2 * q + 2] = d
+    row[2 * p : 2 * p + 2] = -d
+    return row
+
+
+@dataclass(frozen=True)
+class _Basis:
+    cell: np.ndarray  # 8x8 Hessian of the basis's unit springs
+    gradient: np.ndarray  # B^T cell B, the 4x4 energy matrix of a unit cell
+    moduli: np.ndarray  # (c1, c2, c3, c1 - c2) per unit stiffness and thickness
+
+
+def _basis(terms) -> _Basis:
+    """Basis of unit springs with energy 1/2 sum w (r . u)^2 over (w, r) terms."""
+    # integer rows, dyadic weights: every entry and sum is exact; + 0.0
+    # turns the negative zeros of the products into positive ones
+    cell = sum(w * np.outer(r, r) for w, r in terms) + 0.0
+    h = _GRADIENT_TO_CORNERS.T @ cell @ _GRADIENT_TO_CORNERS
+    # a unit cell stores 1/2 g^T h g: c1 and c2 are the e_xx^2 and e_xx e_yy
+    # coefficients, c3 that of gamma^2 under e_xy = e_yx = gamma / 2
+    c1, c2 = h[0, 0], h[0, 3]
+    c3 = 0.25 * (h[1, 1] + 2.0 * h[1, 2] + h[2, 2])
+    return _Basis(cell, h, np.array([c1, c2, c3, c1 - c2]))
+
+
+# Each weight folds in 1/|d|^2 (1 for an edge, 2 for a diagonal). An edge
+# counts half, since the tiling shares it between two cells; a pair of
+# consecutive edges, which spans two half edges, counts a quarter.
+_EDGE_SHEAR = [_bond(p, q, shear=True) for p, q in _EDGES]
+_DIAGONAL_SHEAR = [_bond(p, q, shear=True) for p, q in _DIAGONALS]
+_N1 = _basis((0.5, _bond(p, q)) for p, q in _EDGES)
+_N2 = _basis((0.5, _bond(p, q)) for p, q in _DIAGONALS)
+_SHEAR = {
+    BORN: _basis((0.5, r) for r in _EDGE_SHEAR + _DIAGONAL_SHEAR),
+    MODIFIED: _basis(
+        [(0.25, _EDGE_SHEAR[i] - _EDGE_SHEAR[i - 1]) for i in range(4)]
+        + [(0.5, _DIAGONAL_SHEAR[0] - _DIAGONAL_SHEAR[1])]
+    ),
+}
+
+# The sums below run in the order of the closed forms in tests/oracles.py,
+# which their values equal bit for bit: a stiffness times an exact basis
+# entry is exact, so only the order of the additions can round differently.
+
+
+def cell_matrix(stiffness: StiffnessSet) -> np.ndarray:
+    """8x8 stiffness matrix of the cell: k_n1 N1 + k_n2 N2 + k_s1 S.
+
+    S is the shear basis of the stiffness set's model.
+
+    Returns:
+        Symmetric ndarray in N/m, DOF order ``DOF_ORDER``. For the
+        modified model it annihilates the rotation mode for every
+        stiffness set.
+    """
+    n1, n2, s = _N1.cell, _N2.cell, _SHEAR[stiffness.model].cell
+    return stiffness.k_n1 * n1 + stiffness.k_n2 * n2 + stiffness.k_s1 * s
+
+
 def affine_energy(stiffness: StiffnessSet, grad: Gradient2D, cell_size: float) -> float:
     """Cell strain energy under an affine displacement field, in J.
 
-    Evaluates the closed-form energy of the tagged model directly in
-    gradient components. For the Born model the first-neighbour part is
-    quadratic in all four components separately; the multi-bond model
-    replaces the shear part by the symmetric combination (e_xy + e_yx)^2,
-    so a pure rotation (e_xy = -e_yx) stores nothing.
+    Evaluates 1/2 l^2 g^T H g in the gradient components
+    g = (e_xx, e_xy, e_yx, e_yy), with H the cell's bases projected onto
+    gradients. The multi-bond shear basis sees e_xy and e_yx only through
+    their sum, so a pure rotation (e_xy = -e_yx) stores nothing.
 
     Args:
         stiffness: cell stiffnesses with model tag.
-        grad: displacement gradient.
-        cell_size: edge length l in m, positive.
+        grad: displacement gradient, finite.
+        cell_size: edge length l in m, positive and finite.
     """
-    if cell_size <= 0.0:
-        raise ValueError(f"cell_size must be positive, got {cell_size}")
-    kn1, ks1, kn2 = stiffness.k_n1, stiffness.k_s1, stiffness.k_n2
-    exx, exy, eyx, eyy = grad.e_xx, grad.e_xy, grad.e_yx, grad.e_yy
-    l2 = cell_size * cell_size
-    # normal stretch of the two diagonals, identical in both models
-    diag_a = 0.5 * (exx + exy + eyx + eyy)
-    diag_b = 0.5 * (exx - exy - eyx + eyy)
-    normal = 0.5 * kn1 * l2 * (exx * exx + eyy * eyy) + kn2 * l2 * (
-        diag_a * diag_a + diag_b * diag_b
-    )
-    if stiffness.model == MODIFIED:
-        shear_edges = 0.5 * ks1 * l2 * (exy + eyx) ** 2
-        shear_diag = ks1 * l2 * (eyy - exx) ** 2
-    else:
-        shear_edges = 0.5 * ks1 * l2 * (exy * exy + eyx * eyx)
-        sd_a = 0.5 * (eyx - exy - exx + eyy)
-        sd_b = 0.5 * (exx - exy + eyx - eyy)
-        shear_diag = ks1 * l2 * (sd_a * sd_a + sd_b * sd_b)
-    return normal + shear_edges + shear_diag
+    if not (math.isfinite(cell_size) and cell_size > 0.0):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+    g = np.array([grad.e_xx, grad.e_xy, grad.e_yx, grad.e_yy], dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"gradient components must be finite, got {grad}")
+    n1, n2, s = _N1.gradient, _N2.gradient, _SHEAR[stiffness.model].gradient
+    h = stiffness.k_n1 * n1 + stiffness.k_n2 * n2 + stiffness.k_s1 * s
+    return 0.5 * cell_size * cell_size * float(g @ h @ g)
+
+
+def _moduli(stiffness: StiffnessSet) -> np.ndarray:
+    """(c1, c2, c3, c1 - c2) of the tiled lattice times the thickness, in N/m."""
+    n1, n2, s = _N1.moduli, _N2.moduli, _SHEAR[stiffness.model].moduli
+    return stiffness.k_n1 * n1 + stiffness.k_s1 * s + stiffness.k_n2 * n2
+
+
+def elasticity_tensor(stiffness: StiffnessSet, thickness: float) -> ElasticityTensor2D:
+    """Homogenized elasticity tensor of the tiled lattice.
+
+    The cell energy density divides by the cell volume l^2 t; the l^2
+    cancels against the bond-length factors, leaving stiffness / t.
+
+    Args:
+        stiffness: cell stiffnesses with their model tag.
+        thickness: plate thickness t in m, positive and finite.
+
+    Returns:
+        ElasticityTensor2D in Pa.
+    """
+    if not (math.isfinite(thickness) and thickness > 0.0):
+        raise ValueError(f"thickness must be positive and finite, got {thickness}")
+    c1, c2, c3, _ = _moduli(stiffness) / thickness
+    return ElasticityTensor2D(c1=float(c1), c2=float(c2), c3=float(c3))
+
+
+def anisotropy_factor(stiffness: StiffnessSet) -> float:
+    """Ratio 2 c3 / (c1 - c2) of the homogenized tensor.
+
+    Equals 1 exactly when the lattice responds isotropically; calibrated
+    sets satisfy this by construction.
+
+    Raises:
+        ValueError: for a degenerate set, where c1 - c2 vanishes.
+    """
+    _, _, c3, spread = _moduli(stiffness)
+    if spread == 0.0:
+        raise ValueError("degenerate stiffness set: c1 - c2 vanishes")
+    return float(2.0 * c3 / spread)
 
 
 def quadratic_energy(matrix: np.ndarray, u: np.ndarray) -> float:
@@ -311,14 +347,14 @@ def definiteness(report: EigenReport, zero_tol: float = 1e-9) -> str:
 
     Args:
         report: labeled spectrum from ``eigen_analysis``.
-        zero_tol: relative zero threshold, positive.
+        zero_tol: relative zero threshold, positive and finite.
 
     Returns:
         One of POSITIVE_DEFINITE_ON_DEFORMATIONS, SEMIDEFINITE_DEGENERATE,
         INDEFINITE.
     """
-    if zero_tol <= 0.0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
+    if not (math.isfinite(zero_tol) and zero_tol > 0.0):
+        raise ValueError(f"zero_tol must be positive and finite, got {zero_tol}")
     scale = float(np.abs(report.eigenvalues).max())
     if scale == 0.0:
         return SEMIDEFINITE_DEGENERATE

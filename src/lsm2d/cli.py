@@ -33,18 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, benchmarks, lattice
-from .cell import EIGENFORMS, cell_matrix, eigen_analysis
-from .materials import (
-    BORN,
-    MODIFIED,
-    MODELS,
-    PLANE_STRAIN,
-    PLANE_STRESS,
-    Material,
-    anisotropy_factor,
-    calibrate,
-    elasticity_tensor,
-)
+from .cell import EIGENFORMS, anisotropy_factor, cell_matrix, eigen_analysis, elasticity_tensor
+from .materials import BORN, MODIFIED, MODELS, PLANE_STRAIN, PLANE_STRESS, Material, calibrate
 
 EXIT_OK = 0
 EXIT_USAGE = 2

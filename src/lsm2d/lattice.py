@@ -705,8 +705,3 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
         indefinite=bool(inertia and inertia[0] > 0),
         factor_nnz=factor_nnz,
     )
-
-
-def constrained_spectrum(reduced: ReducedSystem) -> np.ndarray:
-    """Ascending eigenvalues of the reduced stiffness matrix."""
-    return np.linalg.eigvalsh(reduced.matrix.toarray())

@@ -3,16 +3,17 @@
 A square four-particle cell carries three spring stiffnesses: normal and
 shear springs on the edge bonds (k_n1, k_s1) and a normal spring on the
 diagonals (k_n2; the diagonal shear springs reuse k_s1 because all bonds
-in the same shear plane share one stiffness). Calibration inverts the
-homogenized elasticity tensor of the tiled lattice so the cell reproduces
-an isotropic material with Young's modulus E and Poisson's ratio nu under
-plane stress or plane strain.
+in the same shear plane share one stiffness). Calibration inverts, in
+closed form, the homogenized elasticity tensor that ``cell`` derives from
+the bond geometry, so the cell reproduces an isotropic material with
+Young's modulus E and Poisson's ratio nu under plane stress or plane
+strain.
 
-Both bond models admit closed-form calibration. They share the normal
-stiffnesses; the multi-bond (modified) model needs only half the shear
-stiffness of the classical Born model. The shear stiffness changes sign
-at nu = 1/3 (plane stress) or nu = 1/4 (plane strain), which is the root
-of the Born model's instability beyond those values.
+The two bond models share the normal stiffnesses; the multi-bond
+(modified) model needs only half the shear stiffness of the classical
+Born model. The shear stiffness changes sign at nu = 1/3 (plane stress)
+or nu = 1/4 (plane strain), which is the root of the Born model's
+instability beyond those values.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class StiffnessSet:
         k_n1: edge-bond normal stiffness in N/m.
         k_s1: shear stiffness (edges and diagonals) in N/m; may be negative.
         k_n2: diagonal-bond normal stiffness in N/m.
+
+    All three stiffnesses must be finite.
     """
 
     model: str
@@ -84,6 +87,10 @@ class StiffnessSet:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        for name in ("k_n1", "k_s1", "k_n2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def negative_shear(self) -> bool:
@@ -143,33 +150,6 @@ def calibrate(material: Material, model: str) -> StiffnessSet:
     return StiffnessSet(model=model, k_n1=k_n1, k_s1=k_s1, k_n2=k_n2)
 
 
-def elasticity_tensor(stiffness: StiffnessSet, thickness: float) -> ElasticityTensor2D:
-    """Homogenized elasticity tensor of the tiled lattice.
-
-    The cell energy density divides by the cell volume l^2 t; the l^2
-    cancels against the bond-length factors, leaving stiffness / t.
-
-    Args:
-        stiffness: cell stiffnesses with their model tag.
-        thickness: plate thickness t in m.
-
-    Returns:
-        ElasticityTensor2D in Pa.
-    """
-    if thickness <= 0.0:
-        raise ValueError(f"thickness must be positive, got {thickness}")
-    kn1, ks1, kn2 = stiffness.k_n1, stiffness.k_s1, stiffness.k_n2
-    if stiffness.model == MODIFIED:
-        c1 = (kn1 + 2.0 * ks1 + kn2) / thickness
-        c2 = (kn2 - 2.0 * ks1) / thickness
-        c3 = (kn2 + ks1) / thickness
-    else:
-        c1 = (kn1 + ks1 + kn2) / thickness
-        c2 = (kn2 - ks1) / thickness
-        c3 = (kn2 + 0.5 * ks1) / thickness
-    return ElasticityTensor2D(c1=c1, c2=c2, c3=c3)
-
-
 def continuum_tensor(material: Material) -> ElasticityTensor2D:
     """Plane-stress or plane-strain elasticity matrix of the material."""
     E = material.young_modulus
@@ -180,24 +160,3 @@ def continuum_tensor(material: Material) -> ElasticityTensor2D:
         return ElasticityTensor2D(c1=f, c2=nu * f, c3=G)
     f = E / ((1.0 + nu) * (1.0 - 2.0 * nu))
     return ElasticityTensor2D(c1=f * (1.0 - nu), c2=f * nu, c3=G)
-
-
-def anisotropy_factor(stiffness: StiffnessSet) -> float:
-    """Ratio 2 c3 / (c1 - c2) of the homogenized tensor.
-
-    Equals 1 exactly when the lattice responds isotropically; calibrated
-    sets satisfy this by construction.
-
-    Raises:
-        ZeroDivisionError wrapped as ValueError for degenerate sets.
-    """
-    kn1, ks1, kn2 = stiffness.k_n1, stiffness.k_s1, stiffness.k_n2
-    if stiffness.model == MODIFIED:
-        num = 2.0 * kn2 + 2.0 * ks1
-        den = kn1 + 4.0 * ks1
-    else:
-        num = 2.0 * kn2 + ks1
-        den = kn1 + 2.0 * ks1
-    if den == 0.0:
-        raise ValueError("degenerate stiffness set: c1 - c2 vanishes")
-    return num / den

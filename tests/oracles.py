@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is derived directly from bond geometry and continuum
-elasticity, never from the closed-form matrix entries or energy formulas
-in the package, so agreement between the two is meaningful. The cell
+elasticity, or written out in closed form, never from the package's
+basis matrices, so agreement between the two is meaningful. The cell
 energies below sum individual bond energies in displacement space:
 
 * Born cell: four edge bonds (each shared with a neighbouring cell,
@@ -137,6 +137,83 @@ def closed_form_eigenvalues(model: str, k_n1: float, k_s1: float, k_n2: float) -
     return common
 
 
+def _symmetric_from_lower(rows: list[list[float]]) -> np.ndarray:
+    mat = np.zeros((8, 8))
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            mat[i, j] = value
+            mat[j, i] = value
+    return mat
+
+
+def closed_form_cell_matrix(model: str, k_n1: float, k_s1: float, k_n2: float) -> np.ndarray:
+    """8x8 cell matrix from the five closed-form entries of each model.
+
+    The package sums the same matrix from its bond bases; the two agree
+    bit for bit (signed zeros aside).
+    """
+    kn1, ks1, kn2 = k_n1, k_s1, k_n2
+    if model == "born":
+        k1 = 0.5 * kn1 + 0.5 * kn2 + ks1
+        k2 = 0.5 * kn2 - 0.5 * ks1
+        k3 = -0.5 * kn1
+        k4 = -0.5 * kn2 - 0.5 * ks1
+        k5 = -0.5 * ks1
+        return _symmetric_from_lower(
+            [
+                [k1],
+                [k2, k1],
+                [k3, 0.0, k1],
+                [0.0, k5, -k2, k1],
+                [k4, -k2, k5, 0.0, k1],
+                [-k2, k4, 0.0, k3, k2, k1],
+                [k5, 0.0, k4, k2, k3, 0.0, k1],
+                [0.0, k3, k2, k4, 0.0, k5, -k2, k1],
+            ]
+        )
+    k1 = 0.5 * kn1 + 0.5 * kn2 + ks1
+    k2 = 0.5 * kn2 - 0.25 * ks1
+    k3 = -0.5 * kn1 - 0.5 * ks1
+    k4 = -0.75 * ks1
+    k5 = -0.5 * kn2 - 0.5 * ks1
+    return _symmetric_from_lower(
+        [
+            [k1],
+            [k2, k1],
+            [k3, -k4, k1],
+            [k4, 0.0, -k2, k1],
+            [k5, -k2, 0.0, -k4, k1],
+            [-k2, k5, k4, k3, k2, k1],
+            [0.0, k4, k5, k2, k3, -k4, k1],
+            [-k4, k3, k2, k5, k4, 0.0, -k2, k1],
+        ]
+    )
+
+
+def closed_form_tensor(
+    model: str, k_n1: float, k_s1: float, k_n2: float, thickness: float
+) -> tuple[float, float, float]:
+    """(c1, c2, c3) of the tiled lattice in closed form, in Pa."""
+    kn1, ks1, kn2 = k_n1, k_s1, k_n2
+    if model == "born":
+        c1 = (kn1 + ks1 + kn2) / thickness
+        c2 = (kn2 - ks1) / thickness
+        c3 = (kn2 + 0.5 * ks1) / thickness
+    else:
+        c1 = (kn1 + 2.0 * ks1 + kn2) / thickness
+        c2 = (kn2 - 2.0 * ks1) / thickness
+        c3 = (kn2 + ks1) / thickness
+    return c1, c2, c3
+
+
+def closed_form_anisotropy(model: str, k_n1: float, k_s1: float, k_n2: float) -> float:
+    """2 c3 / (c1 - c2) in closed form; the denominator must not vanish."""
+    kn1, ks1, kn2 = k_n1, k_s1, k_n2
+    if model == "born":
+        return (2.0 * kn2 + ks1) / (kn1 + 2.0 * ks1)
+    return (2.0 * kn2 + 2.0 * ks1) / (kn1 + 4.0 * ks1)
+
+
 def plane_stress_components(E: float, nu: float) -> tuple[float, float, float]:
     f = E / (1.0 - nu * nu)
     return f, nu * f, E / (2.0 * (1.0 + nu))
@@ -181,6 +258,11 @@ def eigenvalue_inertia(matrix) -> tuple[int, int, int]:
     neg = int(np.sum(eigenvalues < -cutoff))
     pos = int(np.sum(eigenvalues > cutoff))
     return neg, eigenvalues.size - neg - pos, pos
+
+
+def constrained_spectrum(reduced) -> np.ndarray:
+    """Ascending eigenvalues of a reduced stiffness matrix, by a dense eigensolve."""
+    return np.linalg.eigvalsh(reduced.matrix.toarray())
 
 
 def whole_factor_solve(reduced) -> tuple[np.ndarray, int]:

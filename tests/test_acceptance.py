@@ -31,7 +31,6 @@ from lsm2d import (
     case_constraints,
     case_mesh,
     cell_matrix,
-    constrained_spectrum,
     continuum_tensor,
     convergence_study,
     corner_displacements,
@@ -44,7 +43,13 @@ from lsm2d import (
     run_case,
     uniaxial_case,
 )
-from oracles import closed_form_eigenvalues, fd_hessian, born_cell_energy, multibond_cell_energy
+from oracles import (
+    born_cell_energy,
+    closed_form_eigenvalues,
+    constrained_spectrum,
+    fd_hessian,
+    multibond_cell_energy,
+)
 
 NU_GRID = tuple(round(0.05 * i, 2) for i in range(10)) + (0.49,)
 BENCH_NUS = (0.0, 0.3, 0.49)

@@ -1,9 +1,10 @@
-"""Cell matrix and spectral tests.
+"""Cell matrix, affine energy, homogenized tensor and spectral tests.
 
-The closed-form matrices are checked against Hessians of independently
-summed per-bond energies (tests/oracles.py), so the five-entry structure
-never validates itself. Eigenvalue checks compare against the analytical
-spectrum expressed in stiffnesses.
+The cell matrices summed from bond bases are checked against Hessians of
+independently summed per-bond energies and, bit for bit, against the
+five-entry closed forms (tests/oracles.py), so the bases never validate
+themselves. Eigenvalue checks compare against the analytical spectrum
+expressed in stiffnesses.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from lsm2d import (
     MODIFIED,
     MODELS,
     PLANE_STRAIN,
+    REGIMES,
     POSITIVE_DEFINITE_ON_DEFORMATIONS,
     SEMIDEFINITE_DEGENERATE,
     CANONICAL_MODES,
@@ -23,19 +25,22 @@ from lsm2d import (
     Material,
     StiffnessSet,
     affine_energy,
-    born_matrix,
+    anisotropy_factor,
     calibrate,
     cell_matrix,
     corner_displacements,
     definiteness,
     eigen_analysis,
-    modified_matrix,
+    elasticity_tensor,
     quadratic_energy,
 )
 from oracles import (
     affine_corner_displacements,
     born_cell_energy,
+    closed_form_anisotropy,
+    closed_form_cell_matrix,
     closed_form_eigenvalues,
+    closed_form_tensor,
     fd_hessian,
     multibond_cell_energy,
 )
@@ -51,11 +56,28 @@ def random_stiffness(rng, model):
     )
 
 
-def oracle_hessian(stiffness):
+def oracle_energy(stiffness):
     kn1, ks1, kn2 = stiffness.k_n1, stiffness.k_s1, stiffness.k_n2
     if stiffness.model == BORN:
-        return fd_hessian(lambda u: born_cell_energy(u, kn1, ks1, kn2))
-    return fd_hessian(lambda u: multibond_cell_energy(u, kn1, ks1, kn2))
+        return lambda u: born_cell_energy(u, kn1, ks1, kn2)
+    return lambda u: multibond_cell_energy(u, kn1, ks1, kn2)
+
+
+def oracle_hessian(stiffness):
+    return fd_hessian(oracle_energy(stiffness))
+
+
+def reference_sets(rng, nu_grid):
+    """(stiffness set, thickness): the calibrated sweep in both regimes, then random sets."""
+    sets = []
+    for regime in REGIMES:
+        for nu in nu_grid + (1.0 / 3.0,):
+            for young_modulus, thickness in ((2e11, 0.01), (3.0, 1.0), (7e9, 2.5)):
+                material = Material(young_modulus, nu, thickness, regime)
+                sets += [(calibrate(material, model), thickness) for model in MODELS]
+    for model in MODELS:
+        sets += [(random_stiffness(rng, model), float(rng.uniform(0.1, 2.0))) for _ in range(500)]
+    return sets
 
 
 class TestMatrixConstruction:
@@ -70,7 +92,7 @@ class TestMatrixConstruction:
 
     def test_born_entry_pattern(self):
         # equal stiffnesses make four of the five entries collapse
-        m = born_matrix(StiffnessSet(BORN, 2.0, 2.0, 2.0))
+        m = cell_matrix(StiffnessSet(BORN, 2.0, 2.0, 2.0))
         assert m[0, 0] == pytest.approx(4.0)
         assert m[1, 0] == pytest.approx(0.0)
         assert m[2, 0] == pytest.approx(-1.0)
@@ -79,7 +101,7 @@ class TestMatrixConstruction:
         assert m[3, 1] == pytest.approx(-1.0)
 
     def test_modified_entry_pattern(self):
-        m = modified_matrix(StiffnessSet(MODIFIED, 2.0, 4.0, 2.0))
+        m = cell_matrix(StiffnessSet(MODIFIED, 2.0, 4.0, 2.0))
         assert m[0, 0] == pytest.approx(6.0)
         assert m[2, 0] == pytest.approx(-3.0)
         assert m[2, 1] == pytest.approx(3.0)
@@ -94,25 +116,63 @@ class TestMatrixConstruction:
             np.testing.assert_array_equal(m, m.T)
 
     def test_models_coincide_without_shear_springs(self):
-        born = born_matrix(StiffnessSet(BORN, 1.7, 0.0, 0.9))
-        mod = modified_matrix(StiffnessSet(MODIFIED, 1.7, 0.0, 0.9))
+        born = cell_matrix(StiffnessSet(BORN, 1.7, 0.0, 0.9))
+        mod = cell_matrix(StiffnessSet(MODIFIED, 1.7, 0.0, 0.9))
         np.testing.assert_allclose(born, mod, rtol=0.0, atol=1e-15)
 
     def test_zero_stiffness_gives_zero_matrix(self):
         m = cell_matrix(StiffnessSet(BORN, 0.0, 0.0, 0.0))
         assert np.all(m == 0.0)
 
-    def test_model_tag_enforced(self):
-        with pytest.raises(ValueError):
-            born_matrix(StiffnessSet(MODIFIED, 1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            modified_matrix(StiffnessSet(BORN, 1.0, 1.0, 1.0))
 
-    def test_dispatch_follows_tag(self):
-        born = StiffnessSet(BORN, 1.0, 0.5, 2.0)
-        np.testing.assert_array_equal(cell_matrix(born), born_matrix(born))
-        mod = StiffnessSet(MODIFIED, 1.0, 0.5, 2.0)
-        np.testing.assert_array_equal(cell_matrix(mod), modified_matrix(mod))
+class TestClosedForms:
+    """The bond bases reproduce the five-entry tables and the tensor formulas exactly."""
+
+    def test_cell_matrix_equals_closed_form_tables(self, rng, nu_grid):
+        for ks, _ in reference_sets(rng, nu_grid):
+            table = closed_form_cell_matrix(ks.model, ks.k_n1, ks.k_s1, ks.k_n2)
+            # array_equal counts -0.0 and 0.0 as equal
+            assert np.array_equal(cell_matrix(ks), table), ks
+
+    def test_tensor_and_anisotropy_bit_identical(self, rng, nu_grid):
+        for ks, thickness in reference_sets(rng, nu_grid):
+            c = elasticity_tensor(ks, thickness)
+            expected = closed_form_tensor(ks.model, ks.k_n1, ks.k_s1, ks.k_n2, thickness)
+            assert (c.c1, c.c2, c.c3) == expected, ks
+            expected = closed_form_anisotropy(ks.model, ks.k_n1, ks.k_s1, ks.k_n2)
+            assert anisotropy_factor(ks) == expected, ks
+
+
+class TestHomogenizedTensor:
+    """elasticity_tensor and anisotropy_factor against per-bond oracle energies."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_oracle_energy_density(self, rng, model):
+        for _ in range(200):
+            ks = random_stiffness(rng, model)
+            thickness = float(rng.uniform(0.1, 2.0))
+            l = float(rng.uniform(0.5, 2.0))
+            energy = oracle_energy(ks)
+
+            def density(e_xx, e_xy, e_yx, e_yy):
+                u = affine_corner_displacements(e_xx, e_xy, e_yx, e_yy, l)
+                return energy(u) / (l * l * thickness)
+
+            # W = 1/2 (c1 e_xx^2 + 2 c2 e_xx e_yy + c1 e_yy^2 + c3 gamma^2)
+            c1 = 2.0 * density(1.0, 0.0, 0.0, 0.0)
+            c2 = density(1.0, 0.0, 0.0, 1.0) - c1
+            c3 = 2.0 * density(0.0, 0.5, 0.5, 0.0)
+            scale = (ks.k_n1 + abs(ks.k_s1) + ks.k_n2) / thickness
+            got = elasticity_tensor(ks, thickness)
+            assert got.c1 == pytest.approx(c1, abs=1e-12 * scale)
+            assert got.c2 == pytest.approx(c2, abs=1e-12 * scale)
+            assert got.c3 == pytest.approx(c3, abs=1e-12 * scale)
+            assert 2.0 * density(0.0, 0.0, 0.0, 1.0) == pytest.approx(c1, abs=1e-12 * scale)
+            # cross-multiplied, so a near-zero c1 - c2 does not amplify rounding
+            factor = anisotropy_factor(ks)
+            assert factor * (c1 - c2) == pytest.approx(
+                2.0 * c3, abs=1e-12 * scale * max(1.0, abs(factor))
+            )
 
 
 class TestNullSpaces:
@@ -131,9 +191,9 @@ class TestNullSpaces:
             kn1 = float(rng.uniform(0.5, 3.0))
             ks1 = float(rng.uniform(0.5, 2.0))
             kn2 = float(rng.uniform(0.5, 3.0))
-            mod = modified_matrix(StiffnessSet(MODIFIED, kn1, ks1, kn2))
+            mod = cell_matrix(StiffnessSet(MODIFIED, kn1, ks1, kn2))
             assert np.abs(mod @ rot).max() <= 1e-14 * np.abs(mod).max()
-            born = born_matrix(StiffnessSet(BORN, kn1, ks1, kn2))
+            born = cell_matrix(StiffnessSet(BORN, kn1, ks1, kn2))
             # rotation is an exact eigenvector with eigenvalue 3 k_s1
             np.testing.assert_allclose(born @ rot, 3.0 * ks1 * rot, rtol=1e-12)
 
@@ -175,6 +235,18 @@ class TestAffineEnergy:
         ks = StiffnessSet(BORN, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             affine_energy(ks, Gradient2D(1, 0, 0, 1), 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_cell_size_rejected(self, value):
+        ks = StiffnessSet(BORN, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            affine_energy(ks, Gradient2D(1, 0, 0, 1), value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_gradient_rejected(self, value):
+        ks = StiffnessSet(MODIFIED, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            affine_energy(ks, Gradient2D(1, value, 0, 1), 1.0)
 
     def test_oracle_displacements_agree_with_package(self):
         # guards the shared convention between test oracle and package
@@ -287,6 +359,12 @@ class TestDefiniteness:
         report = eigen_analysis(cell_matrix(random_stiffness(rng, BORN)))
         with pytest.raises(ValueError):
             definiteness(report, zero_tol=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_zero_tol_rejected(self, rng, value):
+        report = eigen_analysis(cell_matrix(random_stiffness(rng, BORN)))
+        with pytest.raises(ValueError):
+            definiteness(report, zero_tol=value)
 
 
 def rotation_eigenvalue(nu: float, regime: str) -> float:

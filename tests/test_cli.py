@@ -25,13 +25,12 @@ from lsm2d import (
     calibrate,
     case_constraints,
     cell_matrix,
-    constrained_spectrum,
     make_case,
     run_case,
     uniaxial_case,
 )
 from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, read_field_csv, write_csv
-from oracles import csv_cell
+from oracles import constrained_spectrum, csv_cell
 
 
 def read_table(path):

@@ -36,7 +36,6 @@ from lsm2d import (
     case_loads,
     case_mesh,
     cell_matrix,
-    constrained_spectrum,
     fix_nodes,
     load_vector,
     reduce_stencil,
@@ -44,7 +43,13 @@ from lsm2d import (
     stencil_values,
 )
 from lsm2d.lattice import _nested_dissection
-from oracles import coo_assembly, eigenvalue_inertia, sliced_reduction, whole_factor_solve
+from oracles import (
+    constrained_spectrum,
+    coo_assembly,
+    eigenvalue_inertia,
+    sliced_reduction,
+    whole_factor_solve,
+)
 
 
 def make_system(nx, ny, stiffness, cell_size=1.0, origin=(0.0, 0.0)):

@@ -114,6 +114,13 @@ class TestCalibration:
                 # coupled shear springs carry half the Born shear stiffness
                 assert mod.k_s1 == pytest.approx(0.5 * born.k_s1, rel=1e-14, abs=1e-20)
 
+    @pytest.mark.parametrize("field", ["k_n1", "k_s1", "k_n2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_stiffness_set_rejects_non_finite(self, field, value):
+        values = {"k_n1": 1.0, "k_s1": 1.0, "k_n2": 1.0, field: value}
+        with pytest.raises(ValueError):
+            StiffnessSet(model=MODIFIED, **values)
+
     def test_set_carries_model_tag(self):
         assert calibrate(material(0.3), BORN).model == BORN
         assert calibrate(material(0.3), MODIFIED).model == MODIFIED
@@ -175,6 +182,12 @@ class TestElasticityTensor:
         ks = StiffnessSet(model=BORN, k_n1=1.0, k_s1=1.0, k_n2=1.0)
         with pytest.raises(ValueError):
             elasticity_tensor(ks, thickness=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_thickness_rejected(self, value):
+        ks = StiffnessSet(model=BORN, k_n1=1.0, k_s1=1.0, k_n2=1.0)
+        with pytest.raises(ValueError):
+            elasticity_tensor(ks, thickness=value)
 
     def test_positive_definite_property(self):
         assert ElasticityTensor2D(c1=3.0, c2=0.0, c3=1.5).positive_definite
