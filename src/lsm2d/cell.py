@@ -119,13 +119,28 @@ class EigenReport:
     resolved: bool
 
 
+def _check_affine(grad: Gradient2D, cell_size: float) -> np.ndarray:
+    """The gradient components (e_xx, e_xy, e_yx, e_yy), once both inputs are valid."""
+    if not (math.isfinite(cell_size) and cell_size > 0.0):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+    g = np.array([grad.e_xx, grad.e_xy, grad.e_yx, grad.e_yy], dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"gradient components must be finite, got {grad}")
+    return g
+
+
 def corner_displacements(grad: Gradient2D, cell_size: float) -> np.ndarray:
     """Displacements induced at the four corners by an affine field.
 
     u_x = e_xx x + e_xy y and u_y = e_yx x + e_yy y evaluated at the
     corners of a cell with edge length ``cell_size``. The origin drops
     out of every energy expression, so it is fixed at corner A.
+
+    Args:
+        grad: displacement gradient, finite.
+        cell_size: edge length l in m, positive and finite.
     """
+    _check_affine(grad, cell_size)
     xy = _POSITIONS * cell_size
     u = np.empty(8)
     u[0::2] = grad.e_xx * xy[:, 0] + grad.e_xy * xy[:, 1]
@@ -227,11 +242,7 @@ def affine_energy(stiffness: StiffnessSet, grad: Gradient2D, cell_size: float) -
         grad: displacement gradient, finite.
         cell_size: edge length l in m, positive and finite.
     """
-    if not (math.isfinite(cell_size) and cell_size > 0.0):
-        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
-    g = np.array([grad.e_xx, grad.e_xy, grad.e_yx, grad.e_yy], dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"gradient components must be finite, got {grad}")
+    g = _check_affine(grad, cell_size)
     n1, n2, s = _N1.gradient, _N2.gradient, _SHEAR[stiffness.model].gradient
     h = stiffness.k_n1 * n1 + stiffness.k_n2 * n2 + stiffness.k_s1 * s
     return 0.5 * cell_size * cell_size * float(g @ h @ g)
@@ -278,49 +289,122 @@ def anisotropy_factor(stiffness: StiffnessSet) -> float:
 
 
 def quadratic_energy(matrix: np.ndarray, u: np.ndarray) -> float:
-    """Energy 1/2 u^T K u of a displacement vector, in J."""
+    """Energy 1/2 u^T K u of a displacement vector, in J.
+
+    Args:
+        matrix: finite 8x8 cell matrix.
+        u: finite corner displacements, 8 entries in ``DOF_ORDER``.
+    """
+    matrix = _cell_array(matrix)
     u = np.asarray(u, dtype=float)
+    if u.shape != (8,):
+        raise ValueError(f"expected 8 displacements, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("displacements must be finite")
     return 0.5 * float(u @ matrix @ u)
+
+
+def _cell_array(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a float array, once it is 8x8 and finite."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("cell matrix must be finite")
+    return matrix
+
+
+def _assign(cost: np.ndarray) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square cost matrix.
+
+    Shortest augmenting paths (Crouse 2016, IEEE TAES 52(4)) with the order
+    and tie rule of scipy's linear_sum_assignment, so that the two pick the
+    same columns among tied optima too: rows are augmented in order; the
+    remaining columns are scanned from the highest index down, and a chosen
+    one is replaced by the last; a path cost changes only on a strict
+    improvement; a tie for the lowest cost goes to an unassigned column.
+    Every sum is formed in scipy's order, so rounding agrees too.
+    """
+    c = cost.tolist()
+    n = len(c)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []  # the rows and columns the path search visits
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                sj = shortest[j]
+                if r < sj:
+                    path[j], shortest[j], sj = i, r, r
+                if sj < lowest or (sj == lowest and row4col[j] < 0):
+                    index, lowest = it, sj
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then flip the path's edges
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def eigen_analysis(matrix: np.ndarray) -> EigenReport:
     """Full symmetric eigendecomposition with eigenform labels.
 
     Each canonical mode is matched to a computed eigenvector by maximum
-    squared overlap, one label per eigenpair. Inside a repeated eigenvalue
-    the individual pairing is arbitrary (the subspace is classified as a
+    total squared overlap, one label per eigenpair. The matching is the
+    shortest-augmenting-path assignment of Crouse (2016), with the tie
+    rule of scipy's linear_sum_assignment: labels are placed in
+    ``EIGENFORMS`` order, and a tie goes to a free eigenvector, scanned
+    from the highest column down. Inside a repeated eigenvalue the
+    individual pairing is arbitrary (the subspace is classified as a
     whole); the reported eigenvalue is unaffected.
 
     Args:
-        matrix: symmetric 8x8 cell matrix.
+        matrix: symmetric, finite 8x8 cell matrix.
 
     Returns:
         EigenReport; ``resolved`` is False when a label's projection onto
         the eigenspace of its assigned eigenvalue falls below 0.9.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {matrix.shape}")
+    matrix = _cell_array(matrix)
     if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
         raise ValueError("cell matrix must be symmetric")
-    # imported here, not at module level: scipy.optimize pulls in scipy.fft,
-    # scipy.special and scipy.spatial, and no solve path needs any of them,
-    # so only a caller of this function pays for loading them
-    from scipy.optimize import linear_sum_assignment
-
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
 
     labels = list(CANONICAL_MODES)
     overlap = np.empty((len(labels), 8))
     for row, label in enumerate(labels):
         overlap[row] = (CANONICAL_MODES[label] @ eigenvectors) ** 2
-    rows, cols = linear_sum_assignment(-overlap)
+    cols = _assign(-overlap)
 
     scale = max(np.abs(eigenvalues).max(), 1.0)
     classification: dict[str, float] = {}
     mode_columns: dict[str, int] = {}
     resolved = True
-    for row, col in zip(rows, cols):
+    for row, col in enumerate(cols):
         label = labels[row]
         classification[label] = float(eigenvalues[col])
         mode_columns[label] = int(col)

@@ -4,12 +4,16 @@ The cell matrices summed from bond bases are checked against Hessians of
 independently summed per-bond energies and, bit for bit, against the
 five-entry closed forms (tests/oracles.py), so the bases never validate
 themselves. Eigenvalue checks compare against the analytical spectrum
-expressed in stiffnesses.
+expressed in stiffnesses. The eigenform labels come from the package's own
+assignment, which must pick the columns scipy's linear_sum_assignment picks.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from lsm2d import cell as cell_module
 from lsm2d import (
     BORN,
     INDEFINITE,
@@ -248,6 +252,37 @@ class TestAffineEnergy:
         with pytest.raises(ValueError):
             affine_energy(ks, Gradient2D(1, value, 0, 1), 1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_corner_displacements_reject_non_finite_gradient(self, value):
+        with pytest.raises(ValueError, match="gradient"):
+            corner_displacements(Gradient2D(1.0, 0.0, value, 1.0), 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_corner_displacements_reject_bad_cell_size(self, value):
+        with pytest.raises(ValueError, match="cell_size"):
+            corner_displacements(Gradient2D(1.0, 0.0, 0.0, 1.0), value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_quadratic_energy_rejects_non_finite_displacements(self, value):
+        u = np.ones(8)
+        u[3] = value
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_energy(cell_matrix(StiffnessSet(BORN, 1.0, 1.0, 1.0)), u)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_quadratic_energy_rejects_non_finite_matrix(self, value):
+        matrix = cell_matrix(StiffnessSet(MODIFIED, 1.0, 1.0, 1.0))
+        matrix[2, 5] = value
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_energy(matrix, np.ones(8))
+
+    @pytest.mark.parametrize(
+        "matrix_shape,u_shape", [((8, 8), (6,)), ((8, 8), (8, 1)), ((6, 6), (6,)), ((8, 6), (8,))]
+    )
+    def test_quadratic_energy_rejects_wrong_shapes(self, matrix_shape, u_shape):
+        with pytest.raises(ValueError, match="shape"):
+            quadratic_energy(np.eye(*matrix_shape), np.ones(u_shape))
+
     def test_oracle_displacements_agree_with_package(self):
         # guards the shared convention between test oracle and package
         grad = Gradient2D(0.3, -0.2, 0.7, 0.1)
@@ -317,6 +352,81 @@ class TestEigenAnalysis:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             eigen_analysis(bad)
+
+    def test_nan_matrix_rejected_as_non_finite(self):
+        bad = np.eye(8)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            eigen_analysis(bad)
+
+    def test_inf_matrix_rejected_without_warning(self):
+        bad = np.eye(8)
+        bad[3, 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                eigen_analysis(bad)
+
+
+def scipy_columns(cost):
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(cost)
+    assert list(rows) == list(range(len(cost)))
+    return [int(c) for c in cols]
+
+
+@pytest.fixture
+def recorded_costs(monkeypatch):
+    """Every cost matrix eigen_analysis hands to its assignment, with the columns chosen."""
+    calls = []
+    assign = cell_module._assign
+
+    def recording(cost):
+        cols = assign(cost)
+        calls.append((cost.copy(), cols))
+        return cols
+
+    monkeypatch.setattr(cell_module, "_assign", recording)
+    return calls
+
+
+class TestAssignment:
+    """The in-house assignment picks scipy's columns, ties included."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "small_integers", "sparse_binary"])
+    def test_matches_scipy_on_random_costs(self, rng, kind):
+        for _ in range(3500):
+            if kind == "uniform":
+                cost = rng.uniform(-1.0, 1.0, size=(8, 8))
+            elif kind == "small_integers":
+                cost = rng.integers(0, 4, size=(8, 8)).astype(float)
+            else:
+                cost = (rng.random((8, 8)) < 0.3).astype(float)
+            assert cell_module._assign(cost) == scipy_columns(cost), cost
+
+    def test_constant_cost_gives_identity(self):
+        # every pairing is optimal; scipy's tie rule picks the identity
+        assert cell_module._assign(np.zeros((8, 8))) == list(range(8))
+
+    def test_matches_scipy_on_calibrated_cells(self, nu_grid, recorded_costs):
+        for regime in REGIMES:
+            for nu in nu_grid + (0.25, 1.0 / 3.0):
+                for young_modulus in (1.0, 2e11):
+                    for model in MODELS:
+                        ks = calibrate(Material(young_modulus, nu, 0.01, regime), model)
+                        eigen_analysis(cell_matrix(ks))
+        assert len(recorded_costs) == 2 * len(nu_grid + (0.25, 1.0 / 3.0)) * 2 * 2
+        for cost, cols in recorded_costs:
+            assert cols == scipy_columns(cost), cost
+
+    def test_matches_scipy_on_random_stiffness_sets(self, rng, recorded_costs):
+        for _ in range(600):
+            for model in MODELS:
+                eigen_analysis(cell_matrix(random_stiffness(rng, model)))
+        assert len(recorded_costs) == 1200
+        for cost, cols in recorded_costs:
+            assert cols == scipy_columns(cost), cost
 
 
 class TestDefiniteness:

@@ -1,10 +1,10 @@
-"""What importing lsm2d loads.
+"""What importing and running lsm2d loads.
 
 Importing scipy.optimize also loads scipy.fft, scipy.special and
-scipy.spatial, which cost a quarter of a second and about 17 MiB, and
-only ``eigen_analysis`` needs it. So the package, its CLI and every solve
-path load only numpy and scipy.sparse (with what scipy.sparse.linalg
-imports), and ``eigen_analysis`` imports scipy.optimize on first use. Each
+scipy.spatial, which cost a quarter of a second and about 17 MiB, and no
+lsm2d path needs any of them: the package, its CLI, every solve path and
+the eigenform labelling (``eigen_analysis``, ``lsm2d eigen --case``) load
+only numpy and scipy.sparse (with what scipy.sparse.linalg imports). Each
 check runs in a fresh interpreter, since this one has imported everything
 the suite touches.
 """
@@ -36,14 +36,17 @@ for model in lsm2d.MODELS:
     stiffness = lsm2d.calibrate(lsm2d.Material(2e11, 0.3, 0.01), model)
     spectra[model] = lsm2d.eigen_analysis(lsm2d.cell_matrix(stiffness)).classification
 loaded["eigen_analysis"] = "scipy.optimize" in sys.modules
-print(json.dumps({"loaded": loaded, "spectra": spectra}))
+exit_code = lsm2d.cli.main(["eigen", "--case", "cantilever", "--out", sys.argv[2]])
+loaded["eigen_command"] = "scipy.optimize" in sys.modules
+print(json.dumps({"loaded": loaded, "spectra": spectra, "exit_code": exit_code}))
 """
 
 
 @pytest.fixture(scope="module")
-def probe() -> dict:
+def probe(tmp_path_factory) -> dict:
+    out = tmp_path_factory.mktemp("eigen_cantilever")
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(SRC)],
+        [sys.executable, "-c", PROBE, str(SRC), str(out)],
         capture_output=True,
         text=True,
         timeout=60,
@@ -57,8 +60,10 @@ def test_import_and_solve_leave_scipy_optimize_unloaded(probe):
     assert probe["loaded"]["run_case"] is False
 
 
-def test_eigen_analysis_loads_scipy_optimize_and_labels_modes(probe):
-    assert probe["loaded"]["eigen_analysis"] is True
+def test_eigen_leaves_scipy_optimize_unloaded_and_labels_modes(probe):
+    assert probe["loaded"]["eigen_analysis"] is False
+    assert probe["exit_code"] == 0
+    assert probe["loaded"]["eigen_command"] is False
     for model in MODELS:
         ks = calibrate(Material(2e11, 0.3, 0.01), model)
         expected = closed_form_eigenvalues(model, ks.k_n1, ks.k_s1, ks.k_n2)
