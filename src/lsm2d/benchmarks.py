@@ -327,12 +327,31 @@ class MeshError:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Per-mesh accuracy of one (case, model) run."""
+    """Per-mesh accuracy of one (case, model) run: its error-versus-mesh table."""
 
     kind: str
     model: str
     poisson_ratio: float
     mesh_errors: tuple[MeshError, ...]
+
+    def errors(self, key: str | None = None) -> list[float]:
+        """Error sequence over meshes; key selects a profile error."""
+        if key is None:
+            return [row.rel_l2 for row in self.mesh_errors]
+        return [row.profile_errors.get(key, float("nan")) for row in self.mesh_errors]
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        """True when every tracked error strictly decreases over meshes."""
+        keys: list[str | None] = [None]
+        keys += sorted(self.mesh_errors[0].profile_errors) if self.mesh_errors else []
+        for key in keys:
+            seq = self.errors(key)
+            if any(not np.isfinite(e) for e in seq):
+                return False
+            if any(b >= a for a, b in zip(seq, seq[1:])):
+                return False
+        return True
 
 
 def _relative_l2(num: np.ndarray, ref: np.ndarray) -> float:
@@ -494,43 +513,3 @@ def run_case(
         ErrorReport.
     """
     return sweep([(case, model)]).runs[0]
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    """Error-versus-mesh table of one (case, model) run."""
-
-    kind: str
-    model: str
-    poisson_ratio: float
-    rows: tuple[MeshError, ...]
-
-    def errors(self, key: str | None = None) -> list[float]:
-        """Error sequence over meshes; key selects a profile error."""
-        if key is None:
-            return [row.rel_l2 for row in self.rows]
-        return [row.profile_errors.get(key, float("nan")) for row in self.rows]
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        """True when every tracked error strictly decreases over meshes."""
-        keys: list[str | None] = [None]
-        keys += sorted(self.rows[0].profile_errors) if self.rows else []
-        for key in keys:
-            seq = self.errors(key)
-            if any(not np.isfinite(e) for e in seq):
-                return False
-            if any(b >= a for a, b in zip(seq, seq[1:])):
-                return False
-        return True
-
-
-def convergence_study(case: BenchmarkCase, model: str) -> ConvergenceStudy:
-    """Run the case over its mesh ladder and tabulate the errors."""
-    _, report = run_case(case, model)
-    return ConvergenceStudy(
-        kind=case.kind,
-        model=model,
-        poisson_ratio=case.material.poisson_ratio,
-        rows=report.mesh_errors,
-    )

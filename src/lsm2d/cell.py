@@ -388,11 +388,18 @@ def eigen_analysis(matrix: np.ndarray) -> EigenReport:
     Returns:
         EigenReport; ``resolved`` is False when a label's projection onto
         the eigenspace of its assigned eigenvalue falls below 0.9.
+
+    Raises:
+        ValueError: the matrix is not a finite symmetric 8x8 array, or its
+            spectrum overflows.
     """
     matrix = _cell_array(matrix)
     if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
         raise ValueError("cell matrix must be symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    if not np.all(np.isfinite(eigenvalues)):
+        # a finite matrix near the float range can still overflow in eigh
+        raise ValueError("cell matrix spectrum is not finite (overflow in eigh)")
 
     labels = list(CANONICAL_MODES)
     overlap = np.empty((len(labels), 8))

@@ -8,24 +8,25 @@ the cell matrix assigns to edge bonds then accumulates to the full bond
 stiffness, while boundary edges keep their single half contribution.
 
 Every cell shares one 8x8 matrix, so every stiffness entry is a sum of
-cell-matrix entries that the grid alone selects. A stencil, built in
-closed form from nx and ny, holds the CSR pattern and, per stored entry,
-its slot in a small value table that one cell matrix fills; assembly is a
-single gather, with no COO triplets and no duplicate summing. Constraint
-elimination works on the stencil too, so a sweep over materials and bond
-models builds each mesh's reduced pattern once and only refills its values.
+cell-matrix entries that the grid alone selects. A slot pattern, built in
+closed form from nx and ny, is a CSR matrix whose data give each stored
+entry's slot in a small value table that one cell matrix fills; assembly is
+a single gather, with no COO triplets and no duplicate summing.
 
 Dirichlet data is imposed by eliminating constrained DOFs (rows and
 columns removed, right-hand side corrected), never by penalties, so the
-spectrum of the reduced matrix is the physical constrained spectrum. The
-free DOFs come out in geometric nested-dissection order: one row or column
-of particles separates the grid, so the order follows from nx and ny alone,
-and the reduced matrix is factored as given, with no further ordering. The
-solver reports the inertia (negative pivot count) of the reduced matrix
-because intentionally indefinite systems are part of the workflow: they
-factorize and solve, but the result must carry an instability flag. A solve
-without the inertia factors only the half-height blocks that the load
-excites of a plate mirror-symmetric about its axis, supports included.
+spectrum of the reduced matrix is the physical constrained spectrum. One
+elimination does this, on values (``apply_constraints``) or, once per mesh,
+on the slot pattern (``reduce_stencil``), so a sweep over materials and bond
+models only refills the reduced matrix's values. The free DOFs come out in
+geometric nested-dissection order: one row or column of particles separates
+the grid, so the order follows from nx and ny alone, and the reduced matrix
+is factored as given, with no further ordering. The solver reports the
+inertia (negative pivot count) of the reduced matrix because intentionally
+indefinite systems are part of the workflow: they factorize and solve, but
+the result must carry an instability flag. A solve without the inertia
+factors only the half-height blocks that the load excites of a plate
+mirror-symmetric about its axis, supports included.
 """
 
 from __future__ import annotations
@@ -160,18 +161,31 @@ class LoadSpec:
 
 @dataclass(frozen=True)
 class Constraints:
-    """Prescribed DOF values (Dirichlet data), one entry per DOF."""
+    """Prescribed DOF values (Dirichlet data), one entry per DOF.
+
+    ``dofs`` is a 1-D integer array without repeats and ``values`` a finite
+    array of the same shape.
+    """
 
     dofs: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        dofs, values = np.asarray(self.dofs), np.asarray(self.values)
+        if dofs.ndim != 1 or not np.issubdtype(dofs.dtype, np.integer):
+            raise ValueError(f"constraint DOFs must be 1-D integers, got {dofs.dtype} {dofs.shape}")
+        if values.shape != dofs.shape:
+            raise ValueError(f"constraint values must have shape {dofs.shape}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("constraint values must be finite")
+        if np.unique(dofs).size != dofs.size:
+            raise ValueError("duplicate DOF in constraint set")
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, float]]) -> "Constraints":
         pairs = list(pairs)
         dofs = np.array([p[0] for p in pairs], dtype=int)
         values = np.array([p[1] for p in pairs], dtype=float)
-        if len(np.unique(dofs)) != len(dofs):
-            raise ValueError("duplicate DOF in constraint set")
         return Constraints(dofs=dofs, values=values)
 
 
@@ -303,48 +317,17 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Sparsity pattern of a matrix whose entries come from a value table.
-
-    Stored entry k of the CSR matrix with this ``indptr`` and ``indices``
-    holds ``values[slots[k]]``; ``fill`` builds that matrix for one table.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-    shape: tuple[int, int]
-
-    def fill(self, values: np.ndarray) -> scipy.sparse.csr_matrix:
-        # the index arrays are copied so that no matrix shares them with the
-        # stencil, which may fill many
-        return scipy.sparse.csr_matrix(
-            (values[self.slots], self.indices.copy(), self.indptr.copy()), shape=self.shape
-        )
-
-    def restrict(self, dofs: np.ndarray) -> "Stencil":
-        """The block of rows and columns ``dofs``, renumbered in that order.
-
-        scipy's fancy indexing carries the slots as the matrix data, so the
-        block keeps the entry order that ``A[dofs][:, dofs]`` gives ``A``.
-        """
-        pattern = scipy.sparse.csr_matrix((self.slots, self.indices, self.indptr), shape=self.shape)
-        block = pattern[dofs][:, dofs]
-        return Stencil(block.indptr, block.indices, block.data, block.shape)
-
-
-def _lattice_stencil(nx: int, ny: int) -> Stencil:
-    """Stiffness pattern of an nx x ny lattice, in closed form.
+def _lattice_stencil(nx: int, ny: int) -> scipy.sparse.csr_matrix:
+    """Slot pattern of an nx x ny lattice's stiffness, in closed form.
 
     Row 2p + a couples particle p, component a, to both components of
     every particle within one step of it in x and y, in increasing order:
     per neighbouring particle row dy, one run of consecutive columns. An
     entry's value depends only on which cell corners p is (its role mask,
     bit I set when p is corner I of a cell), on dy, a, the column offset
-    dx and the component b, so ``slots`` numbers these 16 x 3 x 2 x 3 x 2
-    combinations, which ``stencil_values`` fills from a cell matrix. Along
-    a run both the column and the slot step by one.
+    dx and the component b, so the pattern's data, its slots, number these
+    16 x 3 x 2 x 3 x 2 combinations, which ``stencil_values`` fills from a
+    cell matrix. Along a run both the column and the slot step by one.
     """
     n_particles = (nx + 1) * (ny + 1)
     ix = np.tile(np.arange(nx + 1), ny + 1)
@@ -370,11 +353,19 @@ def _lattice_stencil(nx: int, ny: int) -> Stencil:
     ends = np.cumsum(lengths)
     within = np.arange(ends[-1], dtype=index_dtype)
     within -= np.repeat((ends - lengths).astype(index_dtype), lengths)
-    return Stencil(
-        indptr=np.concatenate([[0], ends[2::3]]).astype(index_dtype),
-        indices=np.repeat(col0, lengths) + within,
-        slots=(np.repeat(slot0, lengths) + within).astype(np.uint16),
-        shape=(2 * n_particles, 2 * n_particles),
+    slots = (np.repeat(slot0, lengths) + within).astype(np.uint16)
+    indptr = np.concatenate([[0], ends[2::3]]).astype(index_dtype)
+    return scipy.sparse.csr_matrix(
+        (slots, np.repeat(col0, lengths) + within, indptr), shape=(2 * n_particles, 2 * n_particles)
+    )
+
+
+def _fill(pattern: scipy.sparse.csr_matrix, values: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The matrix of a slot pattern whose entry k holds ``values[pattern.data[k]]``."""
+    # the index arrays are copied so that no matrix shares them with the
+    # pattern, which may fill many
+    return scipy.sparse.csr_matrix(
+        (values[pattern.data], pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
     )
 
 
@@ -429,7 +420,7 @@ def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
     values = stencil_values(cell_matrix)
     nx, ny = mesh.spec.nx, mesh.spec.ny
     return GlobalSystem(
-        stiffness=_lattice_stencil(nx, ny).fill(values),
+        stiffness=_fill(_lattice_stencil(nx, ny), values),
         forces=np.zeros(mesh.n_dofs),
         order=_nested_dissection(nx, ny),
         mirror=_grid_mirror(nx, ny) if _mirror_symmetric(values) else None,
@@ -499,20 +490,46 @@ def apply_loads(
     return replace(system, forces=system.forces + load_vector(mesh, loads, thickness))
 
 
-def _free_dofs(order: np.ndarray, constraints: Constraints, n: int) -> np.ndarray:
-    fixed = constraints.dofs
+def _eliminate(
+    matrix: scipy.sparse.csr_matrix,
+    forces: np.ndarray,
+    order: np.ndarray,
+    mirror: np.ndarray | None,
+    constraints: Constraints,
+) -> ReducedSystem:
+    """Remove the constrained rows and columns of ``matrix``.
+
+    The free DOFs keep ``order``, so the reduced matrix comes out already
+    permuted for the factorization. scipy's fancy indexing carries any
+    data, a slot pattern's included, and keeps the entry order that
+    ``matrix[free][:, free]`` gives. Nonzero prescribed values move to the
+    right-hand side; the mirror survives zero supports that map onto
+    themselves.
+    """
+    n, fixed, values = forces.shape[0], constraints.dofs, constraints.values
     if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
         raise ValueError("constraint references a DOF outside the system")
-    return order[~np.isin(order, fixed)]
-
-
-def _reduced_mirror(mirror, free: np.ndarray, constraints: Constraints) -> np.ndarray | None:
-    fixed = constraints.dofs
-    if mirror is None or np.any(constraints.values) or not np.isin(mirror[fixed], fixed).all():
-        return None
-    position = np.empty(mirror.size, dtype=np.intp)
-    position[free] = np.arange(free.size)
-    return position[mirror[free]]
+    free = order[~np.isin(order, fixed)]
+    rows = matrix[free]
+    rhs = forces[free]
+    if np.any(values):
+        rhs = rhs - rows[:, fixed] @ values
+        mirror = None
+    elif mirror is not None and np.isin(mirror[fixed], fixed).all():
+        position = np.empty(mirror.size, dtype=np.intp)
+        position[free] = np.arange(free.size)
+        mirror = position[mirror[free]]
+    else:
+        mirror = None
+    return ReducedSystem(
+        matrix=rows[:, free].tocsr(),
+        rhs=rhs,
+        free=free,
+        fixed=fixed,
+        fixed_values=values,
+        n_dofs=n,
+        mirror=mirror,
+    )
 
 
 def apply_constraints(system: GlobalSystem, constraints: Constraints) -> ReducedSystem:
@@ -523,21 +540,8 @@ def apply_constraints(system: GlobalSystem, constraints: Constraints) -> Reduced
     system's order, so the reduced matrix comes out already permuted for
     the factorization.
     """
-    n = system.forces.shape[0]
-    free = _free_dofs(system.order, constraints, n)
-    rows = system.stiffness.tocsr()[free]
-    matrix = rows[:, free].tocsr()
-    rhs = system.forces[free]
-    if constraints.dofs.size and np.any(constraints.values != 0.0):
-        rhs = rhs - rows[:, constraints.dofs] @ constraints.values
-    return ReducedSystem(
-        matrix=matrix,
-        rhs=rhs,
-        free=free,
-        fixed=constraints.dofs,
-        fixed_values=constraints.values,
-        n_dofs=n,
-        mirror=_reduced_mirror(system.mirror, free, constraints),
+    return _eliminate(
+        system.stiffness.tocsr(), system.forces, system.order, system.mirror, constraints
     )
 
 
@@ -545,27 +549,18 @@ def apply_constraints(system: GlobalSystem, constraints: Constraints) -> Reduced
 class ReducedStencil:
     """A lattice's reduced system under homogeneous supports, without values.
 
-    ``fill`` gives the ReducedSystem of one value table (see
-    ``stencil_values``); every field but the matrix is shared.
+    ``pattern`` is that system with a slot pattern for its matrix (see
+    ``_lattice_stencil``); ``fill`` gives the ReducedSystem of one value
+    table (see ``stencil_values``), sharing every field but the matrix.
     """
 
-    matrix: Stencil
-    rhs: np.ndarray
-    free: np.ndarray
-    fixed: np.ndarray
-    fixed_values: np.ndarray
-    n_dofs: int
-    mirror: np.ndarray | None = None
+    pattern: ReducedSystem
 
     def fill(self, values: np.ndarray) -> ReducedSystem:
-        return ReducedSystem(
-            matrix=self.matrix.fill(values),
-            rhs=self.rhs,
-            free=self.free,
-            fixed=self.fixed,
-            fixed_values=self.fixed_values,
-            n_dofs=self.n_dofs,
-            mirror=self.mirror if _mirror_symmetric(values) else None,
+        return replace(
+            self.pattern,
+            matrix=_fill(self.pattern.matrix, values),
+            mirror=self.pattern.mirror if _mirror_symmetric(values) else None,
         )
 
 
@@ -574,26 +569,19 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
 
     ``reduce_stencil(mesh, forces, constraints).fill(stencil_values(cell))``
     equals ``apply_constraints`` of the assembled system with these forces,
-    entry for entry, so a sweep over cell matrices pays for the pattern,
-    the elimination and the nested-dissection order once. Prescribed
-    displacements must be zero: nonzero ones would move stiffness values
-    to the right-hand side, so they take ``apply_constraints``.
+    entry for entry: both run the same elimination, here on the slot
+    pattern, so a sweep over cell matrices pays for the pattern, the
+    elimination and the nested-dissection order once. Prescribed
+    displacements must be zero: a slot number times a displacement means
+    nothing, so nonzero ones take ``apply_constraints``.
     """
     if forces.shape != (mesh.n_dofs,):
         raise ValueError(f"forces must have shape ({mesh.n_dofs},), got {forces.shape}")
-    if np.any(constraints.values != 0.0):
+    if np.any(constraints.values):
         raise ValueError("reduce_stencil takes zero prescribed displacements only")
     nx, ny = mesh.spec.nx, mesh.spec.ny
-    free = _free_dofs(_nested_dissection(nx, ny), constraints, mesh.n_dofs)
-    return ReducedStencil(
-        matrix=_lattice_stencil(nx, ny).restrict(free),
-        rhs=forces[free],
-        free=free,
-        fixed=constraints.dofs,
-        fixed_values=constraints.values,
-        n_dofs=mesh.n_dofs,
-        mirror=_reduced_mirror(_grid_mirror(nx, ny), free, constraints),
-    )
+    order, mirror = _nested_dissection(nx, ny), _grid_mirror(nx, ny)
+    return ReducedStencil(_eliminate(_lattice_stencil(nx, ny), forces, order, mirror, constraints))
 
 
 def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:

@@ -32,7 +32,6 @@ from lsm2d import (
     case_mesh,
     cell_matrix,
     continuum_tensor,
-    convergence_study,
     corner_displacements,
     eigen_analysis,
     elasticity_tensor,
@@ -241,7 +240,7 @@ def test_criterion_7_bending_and_cantilever_convergence():
     # multi-bond model converges monotonically with finest error <= 5%
     for name, build in cases.items():
         for nu in BENCH_NUS:
-            study = convergence_study(build(nu), MODIFIED)
+            study = run_case(build(nu), MODIFIED)[1]
             assert study.strictly_decreasing, (name, nu)
             finest = study.errors("axis_v")[-1]
             assert finest <= 0.05, (name, nu, finest)
@@ -250,7 +249,7 @@ def test_criterion_7_bending_and_cantilever_convergence():
     # Born model stalls far from the solution where it is stable
     for name, build in cases.items():
         for nu in (0.0, 0.3):
-            study = convergence_study(build(nu), BORN)
+            study = run_case(build(nu), BORN)[1]
             errors = study.errors("axis_v")
             assert min(errors) > 0.1, (name, nu, errors)
 
@@ -298,6 +297,6 @@ def test_criterion_9_both_regimes_exact_and_convergent():
     # quadratic and cubic fields: monotone refinement in plane strain too
     for build in (pure_bending_case, cantilever_case):
         for nu in BENCH_NUS:
-            study = convergence_study(in_regime(build(nu), PLANE_STRAIN), MODIFIED)
+            study = run_case(in_regime(build(nu), PLANE_STRAIN), MODIFIED)[1]
             assert study.strictly_decreasing, (build.__name__, nu)
     print(f"criterion 9 PASS: affine worst {worst:.3e} in both regimes")

@@ -21,7 +21,7 @@ from lsm2d import (
     SLENDER_MESHES,
     UNIAXIAL,
     BenchmarkCase,
-    ConvergenceStudy,
+    ErrorReport,
     Material,
     SingularSystemError,
     analytical_field,
@@ -29,7 +29,6 @@ from lsm2d import (
     case_constraints,
     case_loads,
     case_mesh,
-    convergence_study,
     make_case,
     moment_to_linear_traction,
     pure_bending_case,
@@ -289,24 +288,24 @@ class TestAffineExactness:
 class TestConvergence:
     def test_multibond_bending_converges(self):
         for nu in (0.0, 0.3):
-            study = convergence_study(pure_bending_case(nu), MODIFIED)
+            study = run_case(pure_bending_case(nu), MODIFIED)[1]
             assert study.strictly_decreasing, nu
             assert study.errors("axis_v")[-1] <= 0.05
             assert study.errors("edge_u")[-1] <= 0.05
 
     def test_multibond_cantilever_converges(self):
-        study = convergence_study(cantilever_case(0.3), MODIFIED)
+        study = run_case(cantilever_case(0.3), MODIFIED)[1]
         assert study.strictly_decreasing
         assert study.errors("axis_v")[-1] <= 0.05
 
     def test_born_bending_stalls(self):
-        study = convergence_study(pure_bending_case(0.0), BORN)
+        study = run_case(pure_bending_case(0.0), BORN)[1]
         assert not study.strictly_decreasing
         assert min(study.errors("axis_v")) > 0.5
 
     def test_born_cantilever_softens_with_poisson_ratio(self):
-        stiff = convergence_study(cantilever_case(0.0), BORN)
-        softer = convergence_study(cantilever_case(0.3), BORN)
+        stiff = run_case(cantilever_case(0.0), BORN)[1]
+        softer = run_case(cantilever_case(0.3), BORN)[1]
         assert softer.errors("axis_v")[-1] < stiff.errors("axis_v")[-1]
         assert min(softer.errors("axis_v")) > 0.5  # still nowhere near converged
 
@@ -360,7 +359,7 @@ class TestConvergence:
         case = uniaxial_case(0.3, mesh_sizes=((2, 2),))
         _, report = run_case(case, MODIFIED)
         assert report.mesh_errors[0].profile_errors == {}
-        study = ConvergenceStudy(UNIAXIAL, MODIFIED, 0.3, report.mesh_errors)
+        study = ErrorReport(UNIAXIAL, MODIFIED, 0.3, report.mesh_errors)
         assert np.isnan(study.errors("axis_v")[0])
 
     def test_strictly_decreasing_semantics(self):
@@ -369,21 +368,21 @@ class TestConvergence:
         def row(size, rel, profile):
             return MeshError(size, rel, rel, profile, None, False)
 
-        down = ConvergenceStudy(
+        down = ErrorReport(
             PURE_BENDING,
             MODIFIED,
             0.3,
             (row((8, 2), 0.4, {"axis_v": 0.3}), row((16, 4), 0.2, {"axis_v": 0.1})),
         )
         assert down.strictly_decreasing
-        flat = ConvergenceStudy(
+        flat = ErrorReport(
             PURE_BENDING,
             MODIFIED,
             0.3,
             (row((8, 2), 0.4, {"axis_v": 0.3}), row((16, 4), 0.2, {"axis_v": 0.3})),
         )
         assert not flat.strictly_decreasing
-        failed = ConvergenceStudy(
+        failed = ErrorReport(
             PURE_BENDING,
             MODIFIED,
             0.3,

@@ -367,6 +367,14 @@ class TestEigenAnalysis:
             with pytest.raises(ValueError, match="must be finite"):
                 eigen_analysis(bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_spectrum_rejected(self):
+        # finite and symmetric, but eigh's largest eigenvalue, 2e308, overflows
+        big = np.diag(np.full(8, 1e308))
+        big[0, 1] = big[1, 0] = 1e308
+        with pytest.raises(ValueError, match="spectrum is not finite"):
+            eigen_analysis(big)
+
 
 def scipy_columns(cost):
     from scipy.optimize import linear_sum_assignment

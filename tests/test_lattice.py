@@ -330,7 +330,7 @@ class TestNestedDissection:
 
 class TestReducedStencil:
     @pytest.mark.parametrize("kind", CASE_KINDS)
-    def test_matches_sliced_oracle(self, kind):
+    def test_matches_sliced_oracle(self, kind, rng):
         size = (4, 4) if kind in (UNIAXIAL, PURE_SHEAR) else (16, 4)
         case = lsm2d.make_case(kind, 0.3, mesh_sizes=(size,))
         mesh = case_mesh(case, size)
@@ -339,24 +339,31 @@ class TestReducedStencil:
         fixed = set(constraints.dofs.tolist())
         free = np.array([dof for dof in _nested_dissection(*size) if dof not in fixed])
         stencil = reduce_stencil(mesh, forces, constraints)
-        for regime in REGIMES:
-            for model in (BORN, MODIFIED):
-                material = dataclasses.replace(case.material, regime=regime)
-                matrix = cell_matrix(calibrate(material, model))
-                oracle = sliced_reduction(coo_assembly(mesh, matrix), free)
-                system = apply_loads(assemble(mesh, matrix), mesh, case_loads(case), 0.01)
-                np.testing.assert_array_equal(system.forces, forces)
-                for reduced in (
-                    apply_constraints(system, constraints),
-                    stencil.fill(stencil_values(matrix)),
-                ):
-                    np.testing.assert_array_equal(reduced.free, free)
-                    np.testing.assert_array_equal(reduced.matrix.indptr, oracle.indptr)
-                    np.testing.assert_array_equal(reduced.matrix.indices, oracle.indices)
-                    np.testing.assert_array_equal(
-                        reduced.matrix.data.view(np.uint64), oracle.data.view(np.uint64)
-                    )
-                    np.testing.assert_array_equal(reduced.rhs, forces[free])
+        matrices = [
+            cell_matrix(calibrate(dataclasses.replace(case.material, regime=regime), model))
+            for regime in REGIMES
+            for model in (BORN, MODIFIED)
+        ]
+        # integer entries keep the COO oracle's sums exact; the table of this
+        # cell is not mirror-symmetric, so fill must drop the mirror
+        random_cell = rng.integers(-1000, 1000, (8, 8)).astype(float)
+        matrices.append(random_cell + random_cell.T)
+        for matrix in matrices:
+            oracle = sliced_reduction(coo_assembly(mesh, matrix), free)
+            system = apply_loads(assemble(mesh, matrix), mesh, case_loads(case), 0.01)
+            np.testing.assert_array_equal(system.forces, forces)
+            eliminated = apply_constraints(system, constraints)
+            filled = stencil.fill(stencil_values(matrix))
+            for reduced in (eliminated, filled):
+                np.testing.assert_array_equal(reduced.free, free)
+                np.testing.assert_array_equal(reduced.matrix.indptr, oracle.indptr)
+                np.testing.assert_array_equal(reduced.matrix.indices, oracle.indices)
+                np.testing.assert_array_equal(
+                    reduced.matrix.data.view(np.uint64), oracle.data.view(np.uint64)
+                )
+                np.testing.assert_array_equal(reduced.rhs, forces[free])
+            np.testing.assert_equal(filled.mirror, eliminated.mirror)
+        assert filled.mirror is None
 
     def test_rejects_prescribed_values_and_foreign_forces(self):
         mesh = build_mesh(LatticeSpec(3, 2, 1.0))
@@ -467,6 +474,34 @@ class TestConstraints:
     def test_duplicate_dof_rejected(self):
         with pytest.raises(ValueError):
             Constraints.from_pairs([(0, 0.0), (0, 1.0)])
+
+    def test_directly_built_duplicate_dof_rejected(self):
+        # elimination would subtract the repeated DOF's coupling twice
+        with pytest.raises(ValueError, match="duplicate"):
+            Constraints(np.array([0, 1, 0]), np.array([0.1, 0.0, 0.1]))
+
+    def test_values_of_another_shape_rejected(self):
+        # a shorter array used to broadcast against the DOFs
+        with pytest.raises(ValueError, match="shape"):
+            Constraints(np.array([0, 1, 2]), np.array([0.1]))
+        with pytest.raises(ValueError, match="shape"):
+            Constraints(np.array([0, 1]), np.zeros((2, 1)))
+
+    def test_non_finite_values_rejected(self):
+        # NaN used to surface only later, as a singular stiffness matrix
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Constraints(np.array([0, 1]), np.array([0.0, value]))
+            with pytest.raises(ValueError, match="finite"):
+                Constraints.from_pairs([(0, value)])
+
+    def test_dofs_must_be_one_dimensional_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            Constraints(np.array([0.0, 1.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="integer"):
+            Constraints(np.array([[0, 1]]), np.zeros((1, 2)))
+        empty = Constraints.from_pairs([])
+        assert empty.dofs.size == empty.values.size == 0
 
     def test_out_of_range_dof_rejected(self):
         mesh, system = make_system(1, 1, born_set())
@@ -731,7 +766,7 @@ class TestMirrorSplit:
         assert assemble(mesh, cell).mirror is None
         pairs = fix_nodes(mesh.edge_nodes("left"), "xy")
         stencil = reduce_stencil(mesh, np.ones(mesh.n_dofs), Constraints.from_pairs(pairs))
-        assert stencil.mirror is not None
+        assert stencil.pattern.mirror is not None
         assert stencil.fill(stencil_values(cell)).mirror is None
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
