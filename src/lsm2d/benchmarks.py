@@ -41,6 +41,7 @@ from .lattice import (
     Mesh,
     SingularSystemError,
     Solution,
+    _is_integer,
     fix_nodes,
 )
 from .materials import PLANE_STRAIN, PLANE_STRESS, Material, calibrate
@@ -83,10 +84,15 @@ class BenchmarkCase:
     def __post_init__(self) -> None:
         if self.kind not in CASE_KINDS:
             raise ValueError(f"kind must be one of {CASE_KINDS}, got {self.kind!r}")
-        if self.length <= 0.0 or self.height <= 0.0:
-            raise ValueError("plate dimensions must be positive")
+        if not all(np.isfinite(side) and side > 0.0 for side in (self.length, self.height)):
+            raise ValueError(
+                f"plate dimensions must be positive and finite, got {self.length} x {self.height}"
+            )
         if not self.mesh_sizes:
             raise ValueError("mesh_sizes must be nonempty")
+        for size in self.mesh_sizes:
+            if np.shape(size) != (2,) or not all(_is_integer(n) and n >= 1 for n in size):
+                raise ValueError(f"mesh sizes must be pairs of positive integers, got {size!r}")
 
     @property
     def half_height(self) -> float:

@@ -16,11 +16,13 @@ a single gather, with no COO triplets and no duplicate summing.
 Dirichlet data is imposed by eliminating constrained DOFs (rows and
 columns removed, right-hand side corrected), never by penalties, so the
 spectrum of the reduced matrix is the physical constrained spectrum. One
-elimination does this, on values (``apply_constraints``) or, once per mesh,
-on the slot pattern (``reduce_stencil``), so a sweep over materials and bond
-models only refills the reduced matrix's values. The free DOFs come out in
-geometric nested-dissection order: one row or column of particles separates
-the grid, so the order follows from nx and ny alone, and the reduced matrix
+elimination does this, for any supports, and it runs on the slot pattern
+(``reduce_stencil``): each value table then fills only the reduced matrix
+and moves nonzero prescribed displacements to the right-hand side, so a
+sweep over materials and bond models eliminates once per mesh, and no
+solve gathers the global matrix. The free DOFs come out in geometric
+nested-dissection order: one row or column of particles separates the
+grid, so the order follows from nx and ny alone, and the reduced matrix
 is factored as given, with no further ordering. The solver reports the
 inertia (negative pivot count) of the reduced matrix because intentionally
 indefinite systems are part of the workflow: they factorize and solve, but
@@ -44,6 +46,11 @@ UNIFORM = "uniform"
 LINEAR = "linear"
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; bools, floats and strings are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class SingularSystemError(RuntimeError):
     """Reduced system could not be solved to the required residual.
 
@@ -65,6 +72,8 @@ class LatticeSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.nx) and _is_integer(self.ny)):
+            raise ValueError(f"nx and ny must be integers, got {self.nx!r} and {self.ny!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"nx and ny must be >= 1, got {self.nx}x{self.ny}")
         if not (np.isfinite(self.cell_size) and self.cell_size > 0.0):
@@ -184,6 +193,9 @@ class Constraints:
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, float]]) -> "Constraints":
         pairs = list(pairs)
+        for dof, _ in pairs:
+            if not _is_integer(dof):
+                raise ValueError(f"constraint DOF must be an integer, got {dof!r}")
         dofs = np.array([p[0] for p in pairs], dtype=int)
         values = np.array([p[1] for p in pairs], dtype=float)
         return Constraints(dofs=dofs, values=values)
@@ -210,17 +222,19 @@ def fix_nodes(nodes: Sequence[int], directions: str, value: float = 0.0) -> list
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled sparse stiffness matrix with its force vector.
+    """A lattice's stiffness, as the value table of its cell matrix, with its force vector.
 
-    ``order`` is the elimination order of all DOFs; constraint elimination
-    keeps the free ones in it, and the factorization uses it as given.
-    ``mirror`` maps each DOF to its mirror image, if any (see ``assemble``).
+    ``values`` is a ``stencil_values`` table; ``stiffness`` gathers the
+    global sparse matrix from it on every access.
     """
 
-    stiffness: scipy.sparse.csr_matrix
+    mesh: Mesh
+    values: np.ndarray
     forces: np.ndarray
-    order: np.ndarray
-    mirror: np.ndarray | None = None
+
+    @property
+    def stiffness(self) -> scipy.sparse.csr_matrix:
+        return _fill(_lattice_stencil(self.mesh.spec.nx, self.mesh.spec.ny), self.values)
 
 
 @dataclass(frozen=True)
@@ -406,25 +420,18 @@ def _mirror_symmetric(values: np.ndarray) -> bool:
 
 
 def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
-    """Global sparse stiffness matrix of a lattice with one cell matrix.
+    """Global stiffness of a lattice with one cell matrix, and zero forces.
 
     Every cell of a uniform lattice shares the same matrix, so each entry
     is a sum of cell-matrix entries fixed by the grid alone: the stencil
     gives the CSR pattern and, per entry, its slot in the value table, and
     one gather fills it. Interior edge bonds thereby receive both cells'
     half weights. The rows hold sorted, unique column indices, as a
-    COO-to-CSR conversion would give. The system carries the grid's
-    nested-dissection order for the factorization, and its mirror
-    (ix, iy) -> (ix, ny - iy) if ny is even and the cell matrix allows it.
+    COO-to-CSR conversion would give. The system keeps the table alone:
+    constraint elimination runs on the pattern and gathers only the
+    reduced matrix (see ``apply_constraints``).
     """
-    values = stencil_values(cell_matrix)
-    nx, ny = mesh.spec.nx, mesh.spec.ny
-    return GlobalSystem(
-        stiffness=_fill(_lattice_stencil(nx, ny), values),
-        forces=np.zeros(mesh.n_dofs),
-        order=_nested_dissection(nx, ny),
-        mirror=_grid_mirror(nx, ny) if _mirror_symmetric(values) else None,
-    )
+    return GlobalSystem(mesh=mesh, values=stencil_values(cell_matrix), forces=np.zeros(mesh.n_dofs))
 
 
 def _traction_profile(traction: EdgeTraction, coords: np.ndarray) -> np.ndarray:
@@ -484,82 +491,43 @@ def apply_loads(
         thickness: plate thickness t in m.
 
     Returns:
-        New GlobalSystem sharing the stiffness and order, with updated
-        forces.
+        New GlobalSystem sharing the mesh and values, with updated forces.
     """
     return replace(system, forces=system.forces + load_vector(mesh, loads, thickness))
-
-
-def _eliminate(
-    matrix: scipy.sparse.csr_matrix,
-    forces: np.ndarray,
-    order: np.ndarray,
-    mirror: np.ndarray | None,
-    constraints: Constraints,
-) -> ReducedSystem:
-    """Remove the constrained rows and columns of ``matrix``.
-
-    The free DOFs keep ``order``, so the reduced matrix comes out already
-    permuted for the factorization. scipy's fancy indexing carries any
-    data, a slot pattern's included, and keeps the entry order that
-    ``matrix[free][:, free]`` gives. Nonzero prescribed values move to the
-    right-hand side; the mirror survives zero supports that map onto
-    themselves.
-    """
-    n, fixed, values = forces.shape[0], constraints.dofs, constraints.values
-    if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
-        raise ValueError("constraint references a DOF outside the system")
-    free = order[~np.isin(order, fixed)]
-    rows = matrix[free]
-    rhs = forces[free]
-    if np.any(values):
-        rhs = rhs - rows[:, fixed] @ values
-        mirror = None
-    elif mirror is not None and np.isin(mirror[fixed], fixed).all():
-        position = np.empty(mirror.size, dtype=np.intp)
-        position[free] = np.arange(free.size)
-        mirror = position[mirror[free]]
-    else:
-        mirror = None
-    return ReducedSystem(
-        matrix=rows[:, free].tocsr(),
-        rhs=rhs,
-        free=free,
-        fixed=fixed,
-        fixed_values=values,
-        n_dofs=n,
-        mirror=mirror,
-    )
 
 
 def apply_constraints(system: GlobalSystem, constraints: Constraints) -> ReducedSystem:
     """Eliminate constrained DOFs from the system.
 
     Rows and columns of constrained DOFs are removed; inhomogeneous
-    values are moved to the right-hand side. The free DOFs keep the
-    system's order, so the reduced matrix comes out already permuted for
-    the factorization.
+    values are moved to the right-hand side. This is ``reduce_stencil``
+    on the system's mesh and forces, filled with its value table.
     """
-    return _eliminate(
-        system.stiffness.tocsr(), system.forces, system.order, system.mirror, constraints
-    )
+    return reduce_stencil(system.mesh, system.forces, constraints).fill(system.values)
 
 
 @dataclass(frozen=True)
 class ReducedStencil:
-    """A lattice's reduced system under homogeneous supports, without values.
+    """A lattice's reduced system without values.
 
     ``pattern`` is that system with a slot pattern for its matrix (see
     ``_lattice_stencil``); ``fill`` gives the ReducedSystem of one value
-    table (see ``stencil_values``), sharing every field but the matrix.
+    table (see ``stencil_values``). ``coupling``, the slot pattern of the
+    free rows and fixed columns, is kept for nonzero prescribed values
+    only, which ``fill`` moves to the right-hand side.
     """
 
     pattern: ReducedSystem
+    coupling: scipy.sparse.csr_matrix | None
 
     def fill(self, values: np.ndarray) -> ReducedSystem:
+        rhs = self.pattern.rhs
+        if self.coupling is not None:
+            rhs = rhs - _fill(self.coupling, values) @ self.pattern.fixed_values
         return replace(
             self.pattern,
             matrix=_fill(self.pattern.matrix, values),
+            rhs=rhs,
             mirror=self.pattern.mirror if _mirror_symmetric(values) else None,
         )
 
@@ -567,21 +535,41 @@ class ReducedStencil:
 def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> ReducedStencil:
     """Constrained lattice system for any cell matrix, built once per mesh.
 
-    ``reduce_stencil(mesh, forces, constraints).fill(stencil_values(cell))``
-    equals ``apply_constraints`` of the assembled system with these forces,
-    entry for entry: both run the same elimination, here on the slot
-    pattern, so a sweep over cell matrices pays for the pattern, the
-    elimination and the nested-dissection order once. Prescribed
-    displacements must be zero: a slot number times a displacement means
-    nothing, so nonzero ones take ``apply_constraints``.
+    The free DOFs come out in the grid's nested-dissection order, so the
+    reduced matrix is already permuted for the factorization. scipy's fancy
+    indexing carries the slot pattern's data and keeps the entry order that
+    ``K[free][:, free]`` gives, so ``fill(stencil_values(cell))`` equals that
+    slice of the assembled matrix entry for entry, and a sweep over cell
+    matrices pays for the pattern, the elimination and the order once. The
+    mirror survives zero supports that map onto themselves.
     """
-    if forces.shape != (mesh.n_dofs,):
-        raise ValueError(f"forces must have shape ({mesh.n_dofs},), got {forces.shape}")
-    if np.any(constraints.values):
-        raise ValueError("reduce_stencil takes zero prescribed displacements only")
+    n, fixed, values = mesh.n_dofs, constraints.dofs, constraints.values
+    if forces.shape != (n,):
+        raise ValueError(f"forces must have shape ({n},), got {forces.shape}")
+    if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
+        raise ValueError("constraint references a DOF outside the system")
     nx, ny = mesh.spec.nx, mesh.spec.ny
     order, mirror = _nested_dissection(nx, ny), _grid_mirror(nx, ny)
-    return ReducedStencil(_eliminate(_lattice_stencil(nx, ny), forces, order, mirror, constraints))
+    free = order[~np.isin(order, fixed)]
+    rows, coupling = _lattice_stencil(nx, ny)[free], None
+    if np.any(values):
+        coupling, mirror = rows[:, fixed], None
+    elif mirror is not None and np.isin(mirror[fixed], fixed).all():
+        position = np.empty(mirror.size, dtype=np.intp)
+        position[free] = np.arange(free.size)
+        mirror = position[mirror[free]]
+    else:
+        mirror = None
+    pattern = ReducedSystem(
+        matrix=rows[:, free].tocsr(),
+        rhs=forces[free],
+        free=free,
+        fixed=fixed,
+        fixed_values=values,
+        n_dofs=n,
+        mirror=mirror,
+    )
+    return ReducedStencil(pattern, coupling)
 
 
 def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:
@@ -643,7 +631,7 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
 
     One factorization, with diagonal pivots so that its pivot signs are the
     inertia. The matrix is factored in the order it comes in: a lattice's
-    reduced DOFs are already in nested-dissection order (see ``assemble``).
+    reduced DOFs are already in nested-dissection order (see ``reduce_stencil``).
     Without the inertia, a system with a mirror factors instead only the
     half-height blocks its load excites: one, at under half the fill, for
     the odd loads of the bending and cantilever plates.

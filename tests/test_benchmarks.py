@@ -179,6 +179,29 @@ class TestCaseSetup:
             make_case("torsion", 0.3)
         assert pure_bending_case(0.3).half_height == pytest.approx(0.0625)
 
+    @pytest.mark.parametrize(
+        "size",
+        [(0, 2), (8, 0), (-8, 2), (8.0, 2), (8, 2.5), (True, 2), ("8", 2), (8,), (8, 2, 1)],
+        ids=repr,
+    )
+    def test_mesh_sizes_must_be_positive_integer_pairs(self, size):
+        # (0, 2) used to raise ZeroDivisionError in run_case, (8.0, 2) IndexError
+        with pytest.raises(ValueError, match="mesh sizes"):
+            make_case(CANTILEVER, 0.3, mesh_sizes=((8, 2), size))
+
+    def test_mesh_sizes_take_numpy_integers(self):
+        case = make_case(CANTILEVER, 0.3, mesh_sizes=((np.int64(8), np.int32(2)),))
+        assert case_mesh(case, case.mesh_sizes[0]).n_particles == 27
+
+    @pytest.mark.parametrize("side", [float("nan"), float("inf"), -1.0])
+    def test_plate_size_must_be_positive_and_finite(self, side):
+        # a NaN length used to surface later, as non-square cells
+        material = Material(1.0, 0.3, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            BenchmarkCase(UNIAXIAL, side, 1.0, material, 1.0, ((1, 1),))
+        with pytest.raises(ValueError, match="finite"):
+            BenchmarkCase(UNIAXIAL, 1.0, side, material, 1.0, ((1, 1),))
+
     def test_make_case_builds_either_regime(self):
         case = make_case(CANTILEVER, 0.3, regime=PLANE_STRAIN, thickness=0.02)
         assert case.material == Material(2e11, 0.3, 0.02, PLANE_STRAIN)

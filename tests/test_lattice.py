@@ -42,7 +42,7 @@ from lsm2d import (
     solve,
     stencil_values,
 )
-from lsm2d.lattice import _nested_dissection
+from lsm2d.lattice import _grid_mirror, _nested_dissection
 from oracles import (
     constrained_spectrum,
     coo_assembly,
@@ -55,6 +55,10 @@ from oracles import (
 def make_system(nx, ny, stiffness, cell_size=1.0, origin=(0.0, 0.0)):
     mesh = build_mesh(LatticeSpec(nx=nx, ny=ny, cell_size=cell_size, origin=origin))
     return mesh, assemble(mesh, cell_matrix(stiffness))
+
+
+# no supports: the mirror of a reduced system is then that of the grid and the cell
+UNSUPPORTED = Constraints.from_pairs([])
 
 
 def born_set(kn1=2.0, ks1=1.0, kn2=3.0):
@@ -81,9 +85,18 @@ def case_system(kind, model, nu, regime):
     return apply_constraints(*loaded_case(kind, model, nu, regime, size))
 
 
-def natural_order(system):
-    """The same system with its DOFs in natural order, for the oracle factor."""
-    return dataclasses.replace(system, order=np.arange(system.forces.size))
+def natural_order(system, constraints):
+    """The system reduced by zero supports, free DOFs in natural order, for the oracle factor."""
+    assert not np.any(constraints.values)
+    free = np.setdiff1d(np.arange(system.forces.size), constraints.dofs)
+    return lsm2d.ReducedSystem(
+        matrix=sliced_reduction(system.stiffness, free),
+        rhs=system.forces[free],
+        free=free,
+        fixed=constraints.dofs,
+        fixed_values=constraints.values,
+        n_dofs=system.forces.size,
+    )
 
 
 def mmd_factor(reduced):
@@ -163,6 +176,19 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             LatticeSpec(1, 1, 0.0)
         assert LatticeSpec(1, 1, 0.5).particle_radius == 0.25
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), True, "2"], ids=repr)
+    def test_spec_rejects_non_integer_sizes(self, n):
+        # 2.5 used to build a 12-particle mesh the stencil read as 10.5 particles
+        with pytest.raises(ValueError, match="integer"):
+            LatticeSpec(n, 2, 1.0)
+        with pytest.raises(ValueError, match="integer"):
+            LatticeSpec(2, n, 1.0)
+
+    def test_spec_takes_numpy_integers(self):
+        mesh = build_mesh(LatticeSpec(np.int64(2), np.int32(1), 1.0))
+        assert mesh.n_particles == 6
+        assert mesh.cells.shape == (2, 4)
 
     @pytest.mark.parametrize(
         "cell_size,origin",
@@ -304,14 +330,13 @@ class TestNestedDissection:
 
     def test_order_travels_to_the_reduced_system(self):
         mesh, system = make_system(5, 3, modified_set())
-        np.testing.assert_array_equal(system.order, _nested_dissection(5, 3))
         loads = LoadSpec(point_forces=((7, (1.0, 2.0)),))
         loaded = apply_loads(system, mesh, loads, thickness=0.01)
-        assert loaded.order is system.order
         pairs = fix_nodes(mesh.edge_nodes("bottom"), "xy") + [(2 * 23, 0.5)]
         reduced = apply_constraints(loaded, Constraints.from_pairs(pairs))
         fixed = [dof for dof, _ in pairs]
-        np.testing.assert_array_equal(reduced.free, [d for d in system.order if d not in fixed])
+        order = _nested_dissection(5, 3)
+        np.testing.assert_array_equal(reduced.free, [d for d in order if d not in fixed])
         K = system.stiffness.toarray()
         np.testing.assert_array_equal(
             reduced.matrix.toarray(), K[np.ix_(reduced.free, reduced.free)]
@@ -320,13 +345,6 @@ class TestNestedDissection:
             reduced.rhs, loaded.forces[reduced.free] - 0.5 * K[reduced.free, 2 * 23]
         )
 
-    def test_natural_order_is_kept(self):
-        mesh, system = make_system(2, 2, born_set())
-        natural = dataclasses.replace(system, order=np.arange(mesh.n_dofs))
-        pairs = fix_nodes(mesh.edge_nodes("bottom"), "xy")
-        reduced = apply_constraints(natural, Constraints.from_pairs(pairs))
-        np.testing.assert_array_equal(reduced.free, np.arange(6, 18))
-
 
 class TestReducedStencil:
     @pytest.mark.parametrize("kind", CASE_KINDS)
@@ -334,11 +352,12 @@ class TestReducedStencil:
         size = (4, 4) if kind in (UNIAXIAL, PURE_SHEAR) else (16, 4)
         case = lsm2d.make_case(kind, 0.3, mesh_sizes=(size,))
         mesh = case_mesh(case, size)
-        constraints = case_constraints(case, mesh)
+        supports = case_constraints(case, mesh)
+        # the same supports with one of them moved: its value goes to the rhs
+        moved = Constraints(supports.dofs, np.where(supports.dofs == supports.dofs[-1], 1e-6, 0.0))
         forces = load_vector(mesh, case_loads(case), case.material.thickness)
-        fixed = set(constraints.dofs.tolist())
+        fixed = set(supports.dofs.tolist())
         free = np.array([dof for dof in _nested_dissection(*size) if dof not in fixed])
-        stencil = reduce_stencil(mesh, forces, constraints)
         matrices = [
             cell_matrix(calibrate(dataclasses.replace(case.material, regime=regime), model))
             for regime in REGIMES
@@ -348,28 +367,32 @@ class TestReducedStencil:
         # cell is not mirror-symmetric, so fill must drop the mirror
         random_cell = rng.integers(-1000, 1000, (8, 8)).astype(float)
         matrices.append(random_cell + random_cell.T)
-        for matrix in matrices:
-            oracle = sliced_reduction(coo_assembly(mesh, matrix), free)
-            system = apply_loads(assemble(mesh, matrix), mesh, case_loads(case), 0.01)
-            np.testing.assert_array_equal(system.forces, forces)
-            eliminated = apply_constraints(system, constraints)
-            filled = stencil.fill(stencil_values(matrix))
-            for reduced in (eliminated, filled):
-                np.testing.assert_array_equal(reduced.free, free)
-                np.testing.assert_array_equal(reduced.matrix.indptr, oracle.indptr)
-                np.testing.assert_array_equal(reduced.matrix.indices, oracle.indices)
-                np.testing.assert_array_equal(
-                    reduced.matrix.data.view(np.uint64), oracle.data.view(np.uint64)
-                )
-                np.testing.assert_array_equal(reduced.rhs, forces[free])
-            np.testing.assert_equal(filled.mirror, eliminated.mirror)
-        assert filled.mirror is None
+        for constraints in (supports, moved):
+            stencil = reduce_stencil(mesh, forces, constraints)
+            for matrix in matrices:
+                stiffness = coo_assembly(mesh, matrix)
+                oracle = sliced_reduction(stiffness, free)
+                rhs = forces[free] - stiffness[free][:, constraints.dofs] @ constraints.values
+                system = apply_loads(assemble(mesh, matrix), mesh, case_loads(case), 0.01)
+                np.testing.assert_array_equal(system.forces, forces)
+                eliminated = apply_constraints(system, constraints)
+                filled = stencil.fill(stencil_values(matrix))
+                for reduced in (eliminated, filled):
+                    np.testing.assert_array_equal(reduced.free, free)
+                    np.testing.assert_array_equal(reduced.matrix.indptr, oracle.indptr)
+                    np.testing.assert_array_equal(reduced.matrix.indices, oracle.indices)
+                    np.testing.assert_array_equal(
+                        reduced.matrix.data.view(np.uint64), oracle.data.view(np.uint64)
+                    )
+                    np.testing.assert_array_equal(reduced.rhs.view(np.uint64), rhs.view(np.uint64))
+                np.testing.assert_equal(filled.mirror, eliminated.mirror)
+                if constraints is moved:
+                    assert filled.mirror is None
+            assert filled.mirror is None
 
-    def test_rejects_prescribed_values_and_foreign_forces(self):
+    def test_rejects_foreign_forces_and_dofs(self):
         mesh = build_mesh(LatticeSpec(3, 2, 1.0))
         pinned = Constraints.from_pairs(fix_nodes([0], "xy"))
-        with pytest.raises(ValueError):
-            reduce_stencil(mesh, np.zeros(mesh.n_dofs), Constraints.from_pairs([(0, 0.5)]))
         with pytest.raises(ValueError):
             reduce_stencil(mesh, np.zeros(mesh.n_dofs + 2), pinned)
         with pytest.raises(ValueError):
@@ -502,6 +525,17 @@ class TestConstraints:
             Constraints(np.array([[0, 1]]), np.zeros((1, 2)))
         empty = Constraints.from_pairs([])
         assert empty.dofs.size == empty.values.size == 0
+
+    @pytest.mark.parametrize("dof", [2.5, 2.0, np.float64(2.0), True, np.True_, "3"], ids=repr)
+    def test_from_pairs_rejects_non_integer_dofs(self, dof):
+        # these used to be truncated or parsed: 2.5 pinned DOF 2, True DOF 1, "3" DOF 3
+        with pytest.raises(ValueError, match="integer"):
+            Constraints.from_pairs([(0, 0.0), (dof, 0.0)])
+
+    def test_from_pairs_takes_python_and_numpy_integers(self):
+        constraints = Constraints.from_pairs([(3, 0.5), (np.int64(5), 0.0), (np.int32(0), 0.0)])
+        np.testing.assert_array_equal(constraints.dofs, [3, 5, 0])
+        np.testing.assert_array_equal(constraints.values, [0.5, 0.0, 0.0])
 
     def test_out_of_range_dof_rejected(self):
         mesh, system = make_system(1, 1, born_set())
@@ -679,7 +713,7 @@ class TestFactorOrdering:
         reduced = apply_constraints(system, constraints)
         # the inertia takes the whole matrix, in nested-dissection order
         solution = solve(reduced)
-        natural = apply_constraints(natural_order(system), constraints)
+        natural = natural_order(system, constraints)
         assert solution.factor_nnz <= 0.9 * mmd_factor(natural).nnz
         # a solve without it factors only the odd mirror block
         assert solve(reduced, compute_inertia=False).factor_nnz < 0.6 * solution.factor_nnz
@@ -688,7 +722,7 @@ class TestFactorOrdering:
     def test_indefinite_born_matches_minimum_degree(self, regime):
         system, constraints = loaded_case(CANTILEVER, BORN, 0.45, regime, (64, 16))
         solution = solve(apply_constraints(system, constraints))
-        natural = apply_constraints(natural_order(system), constraints)
+        natural = natural_order(system, constraints)
         factor = mmd_factor(natural)
         np.testing.assert_array_equal(factor.perm_r, factor.perm_c)
         pivots = factor.U.diagonal()
@@ -708,7 +742,7 @@ class TestMirrorSplit:
     @pytest.mark.parametrize("nx,ny", [(1, 2), (3, 4), (8, 2), (5, 6)])
     def test_lattice_mirror(self, nx, ny):
         mesh, system = make_system(nx, ny, modified_set())
-        mirror, dofs = system.mirror, np.arange(mesh.n_dofs)
+        mirror, dofs = _grid_mirror(nx, ny), np.arange(mesh.n_dofs)
         np.testing.assert_array_equal(mirror[mirror], dofs)
         # fixed points are exactly the DOFs of the axis row iy = ny / 2
         on_axis = np.repeat(mesh.positions[:, 1] == ny / 2, 2)
@@ -729,19 +763,19 @@ class TestMirrorSplit:
         mesh = build_mesh(LatticeSpec(2, 2, 1.0))
         for nu in np.linspace(0.0, 0.49, 50):
             cell = cell_matrix(calibrate(Material(2e11, nu, 0.01, regime), model))
-            assert assemble(mesh, cell).mirror is not None, nu
+            assert apply_constraints(assemble(mesh, cell), UNSUPPORTED).mirror is not None, nu
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("model", lsm2d.MODELS)
     def test_reduced_mirror(self, kind, model):
         system, constraints = loaded_case(kind, model, 0.3, PLANE_STRESS, (16, 4))
         reduced = apply_constraints(system, constraints)
-        mirror, free = reduced.mirror, reduced.free
+        mirror, free, grid = reduced.mirror, reduced.free, _grid_mirror(16, 4)
         np.testing.assert_array_equal(mirror[mirror], np.arange(free.size))
-        np.testing.assert_array_equal(free[mirror], system.mirror[free])
-        axis = system.mirror == np.arange(system.forces.size)
+        np.testing.assert_array_equal(free[mirror], grid[free])
+        axis = grid == np.arange(system.forces.size)
         np.testing.assert_array_equal(mirror == np.arange(free.size), axis[free])
-        assert np.isin(system.mirror[reduced.fixed], reduced.fixed).all()
+        assert np.isin(grid[reduced.fixed], reduced.fixed).all()
         # the sweep's path carries the same mirror
         case = lsm2d.make_case(kind, 0.3, mesh_sizes=((16, 4),))
         mesh = case_mesh(case, (16, 4))
@@ -752,18 +786,18 @@ class TestMirrorSplit:
     def test_no_mirror(self, rng):
         for kind in (UNIAXIAL, PURE_SHEAR):
             system, constraints = loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, (2, 2))
-            assert system.mirror is not None
+            assert apply_constraints(system, UNSUPPORTED).mirror is not None
             assert apply_constraints(system, constraints).mirror is None
         system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (8, 2))
         moved = Constraints(constraints.dofs, np.where(constraints.dofs % 2, 0.0, 1e-6))
         assert apply_constraints(system, constraints).mirror is not None
         assert apply_constraints(system, moved).mirror is None
-        assert make_system(4, 3, modified_set())[1].mirror is None
+        assert apply_constraints(make_system(4, 3, modified_set())[1], UNSUPPORTED).mirror is None
         cell = rng.normal(size=(8, 8))
         cell = cell + cell.T
         mesh, system = make_system(4, 2, modified_set())
-        assert system.mirror is not None
-        assert assemble(mesh, cell).mirror is None
+        assert apply_constraints(system, UNSUPPORTED).mirror is not None
+        assert apply_constraints(assemble(mesh, cell), UNSUPPORTED).mirror is None
         pairs = fix_nodes(mesh.edge_nodes("left"), "xy")
         stencil = reduce_stencil(mesh, np.ones(mesh.n_dofs), Constraints.from_pairs(pairs))
         assert stencil.pattern.mirror is not None
