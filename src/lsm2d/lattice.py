@@ -28,16 +28,21 @@ inertia (negative pivot count) of the reduced matrix because intentionally
 indefinite systems are part of the workflow: they factorize and solve, but
 the result must carry an instability flag. A solve without the inertia
 factors only the half-height blocks that the load excites of a plate
-mirror-symmetric about its axis, supports included.
+mirror-symmetric about its axis, supports included. Each block is a
+half-plate, so in the order of its lines of particles across the shorter
+side it is a narrow band: a positive definite block is factored by LAPACK's
+band Cholesky in that order, and any other block by the sparse LU as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import SuperLU, splu
 
 EDGES = ("left", "right", "bottom", "top")
@@ -243,7 +248,11 @@ class ReducedSystem:
 
     ``free`` maps reduced indices back to global DOFs, and ``mirror`` to
     those of their images if the supports are zero and mirror-symmetric
-    too; ``fixed`` and ``fixed_values`` keep the eliminated data.
+    too; ``fixed`` and ``fixed_values`` keep the eliminated data. ``band``,
+    set with the mirror and None without it, lists the reduced indices by
+    lines of particles across the half-plate's shorter side (columns when
+    2 nx >= ny, else rows), then along the line, then by component: the
+    order in which a mirror block is a narrow band.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -253,6 +262,11 @@ class ReducedSystem:
     fixed_values: np.ndarray
     n_dofs: int
     mirror: np.ndarray | None = None
+    band: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if (self.mirror is None) != (self.band is None):
+            raise ValueError("a reduced system carries its mirror and band order together")
 
 
 @dataclass(frozen=True)
@@ -266,7 +280,8 @@ class Solution:
             matrix, or None when not computed or when the factor pivoted
             off the diagonal.
         indefinite: True when the reduced matrix has negative pivots.
-        factor_nnz: nnz(L+U) summed over the factors computed; their fill-in.
+        factor_nnz: values the factors computed store, summed: nnz(L+U) for
+            a sparse LU, (half-bandwidth + 1) x size for a band Cholesky.
     """
 
     u: np.ndarray
@@ -405,6 +420,20 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
     return values.ravel()
 
 
+def _line_order(nx: int, ny: int) -> np.ndarray:
+    """DOF order by lines of particles across the half-plate's shorter side.
+
+    Columns (ix slowest, then iy) when 2 nx >= ny, else rows (the natural
+    order); a particle's x and y DOFs stay adjacent. A half-height block
+    taken in this order has half-bandwidth 2 min(nx, ny // 2) + 5 at most.
+    """
+    particles = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    if 2 * nx >= ny:
+        particles = particles.T
+    particles = particles.ravel()
+    return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
+
+
 def _grid_mirror(nx: int, ny: int) -> np.ndarray | None:
     """DOF map of the particle mirror (ix, iy) -> (ix, ny - iy); None for odd ny."""
     particles = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)[::-1].ravel()
@@ -492,7 +521,12 @@ def apply_loads(
 
     Returns:
         New GlobalSystem sharing the mesh and values, with updated forces.
+
+    Raises:
+        ValueError: ``mesh`` is not the lattice of ``system``.
     """
+    if mesh.spec != system.mesh.spec:
+        raise ValueError(f"loads refer to {mesh.spec}, the system to {system.mesh.spec}")
     return replace(system, forces=system.forces + load_vector(mesh, loads, thickness))
 
 
@@ -524,11 +558,13 @@ class ReducedStencil:
         rhs = self.pattern.rhs
         if self.coupling is not None:
             rhs = rhs - _fill(self.coupling, values) @ self.pattern.fixed_values
+        symmetric = _mirror_symmetric(values)
         return replace(
             self.pattern,
             matrix=_fill(self.pattern.matrix, values),
             rhs=rhs,
-            mirror=self.pattern.mirror if _mirror_symmetric(values) else None,
+            mirror=self.pattern.mirror if symmetric else None,
+            band=self.pattern.band if symmetric else None,
         )
 
 
@@ -541,7 +577,8 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     ``K[free][:, free]`` gives, so ``fill(stencil_values(cell))`` equals that
     slice of the assembled matrix entry for entry, and a sweep over cell
     matrices pays for the pattern, the elimination and the order once. The
-    mirror survives zero supports that map onto themselves.
+    mirror survives zero supports that map onto themselves, and with it the
+    band order of its blocks.
     """
     n, fixed, values = mesh.n_dofs, constraints.dofs, constraints.values
     if forces.shape != (n,):
@@ -551,13 +588,15 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     nx, ny = mesh.spec.nx, mesh.spec.ny
     order, mirror = _nested_dissection(nx, ny), _grid_mirror(nx, ny)
     free = order[~np.isin(order, fixed)]
-    rows, coupling = _lattice_stencil(nx, ny)[free], None
+    rows, coupling, band = _lattice_stencil(nx, ny)[free], None, None
     if np.any(values):
         coupling, mirror = rows[:, fixed], None
     elif mirror is not None and np.isin(mirror[fixed], fixed).all():
-        position = np.empty(mirror.size, dtype=np.intp)
+        position = np.full(mirror.size, -1, dtype=np.intp)
         position[free] = np.arange(free.size)
         mirror = position[mirror[free]]
+        band = position[_line_order(nx, ny)]
+        band = band[band >= 0]
     else:
         mirror = None
     pattern = ReducedSystem(
@@ -568,6 +607,7 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         fixed_values=values,
         n_dofs=n,
         mirror=mirror,
+        band=band,
     )
     return ReducedStencil(pattern, coupling)
 
@@ -593,37 +633,84 @@ def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
         raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
 
 
+def _fold(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np.ndarray):
+    """The block of ``matrix`` on ``rows``, entries between two axis DOFs halved."""
+    block = matrix[rows][:, rows]
+    block.data[np.repeat(on_axis, np.diff(block.indptr)) & on_axis[block.indices]] *= 0.5
+    return block
+
+
+def _upper_band(block: scipy.sparse.csr_matrix) -> np.ndarray:
+    """LAPACK's upper band storage of a symmetric block: ab[u + i - j, j] = a[i, j]."""
+    row = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    upper = block.indices >= row
+    col, row = block.indices[upper], row[upper]
+    u = int((col - row).max())
+    ab = np.zeros((u + 1, block.shape[0]), order="F")
+    ab[u + row - col, col] = block.data[upper]
+    return ab
+
+
+def _band_cholesky(ab: np.ndarray) -> np.ndarray | None:
+    """Band Cholesky factor of ``_upper_band`` storage, which it overwrites.
+
+    None unless the matrix is positive definite with every pivot (a squared
+    diagonal entry of the factor) outside the 1e-12 relative zero band that
+    ``_pivot_inertia`` uses: a lattice with a rigid mode gives pivot ratios
+    of 1e-14 or less, the supported plates above 9e-4.
+    """
+    try:
+        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except LinAlgError:
+        return None
+    pivots = factor[-1] ** 2
+    return factor if pivots.min() > 1e-12 * pivots.max() else None
+
+
 def _mirror_solver(reduced: ReducedSystem) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """Solver through the mirror blocks that the right-hand side excites.
 
     A field of parity s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y
     DOFs, so only x (s = 1) or y (s = -1) moves on the axis. Each cell lies
     in one half of the plate: the block is K on the lower and moving axis
-    DOFs, axis-axis entries halved. A zero load factors both blocks, so
-    that a singular matrix can still raise.
+    DOFs, axis-axis entries halved. In ``band`` order the block is a band
+    matrix, factored by band Cholesky; a block that is not positive
+    definite, or numerically singular, is factored instead by the sparse LU
+    in the reduced order, as it would be without a band. A zero load
+    factors both blocks, so that a singular matrix can still raise.
     """
-    mirror, free = reduced.mirror, reduced.free
+    mirror, free, band = reduced.mirror, reduced.free, reduced.band
     axis = mirror == np.arange(mirror.size)
-    blocks = []
+    blocks, stored = [], 0
     for s in (1.0, -1.0):
         parity = np.where(free % 2, -s, s)
-        rows = np.flatnonzero((free[mirror] > free) | axis & (parity > 0))
+        in_block = (free[mirror] > free) | axis & (parity > 0)
+        rows = np.flatnonzero(in_block)
         # zero on the axis, where the fold halves the load and the unfold adds nothing
-        sign = np.where(axis, 0.0, parity)[rows]
-        if not np.any(reduced.rhs) or np.any(reduced.rhs[rows] + sign * reduced.rhs[mirror[rows]]):
-            block, on_axis = reduced.matrix[rows][:, rows], axis[rows]
-            block.data[np.repeat(on_axis, np.diff(block.indptr)) & on_axis[block.indices]] *= 0.5
-            blocks.append((rows, mirror[rows], sign, _factor(block)))
+        sign = np.where(axis, 0.0, parity)
+        if np.any(reduced.rhs) and not np.any(
+            reduced.rhs[rows] + sign[rows] * reduced.rhs[mirror[rows]]
+        ):
+            continue
+        ordered = band[in_block[band]]
+        band_factor = _band_cholesky(_upper_band(_fold(reduced.matrix, ordered, axis[ordered])))
+        if band_factor is None:
+            factor = _factor(_fold(reduced.matrix, rows, axis[rows]))
+            solve_block, stored = factor.solve, stored + int(factor.nnz)
+        else:
+            rows, stored = ordered, stored + band_factor.size
+            solve_block = partial(cho_solve_banded, (band_factor, False), check_finite=False)
+        blocks.append((rows, mirror[rows], sign[rows], solve_block))
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         u = np.zeros_like(rhs)
-        for rows, image, sign, factor in blocks:
-            y = factor.solve(0.5 * (rhs[rows] + sign * rhs[image]))
+        for rows, image, sign, solve_block in blocks:
+            y = solve_block(0.5 * (rhs[rows] + sign * rhs[image]))
             u[rows] += y
             u[image] += sign * y
         return u
 
-    return apply, sum(int(factor.nnz) for *_, factor in blocks)
+    return apply, stored
 
 
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
@@ -633,8 +720,12 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     inertia. The matrix is factored in the order it comes in: a lattice's
     reduced DOFs are already in nested-dissection order (see ``reduce_stencil``).
     Without the inertia, a system with a mirror factors instead only the
-    half-height blocks its load excites: one, at under half the fill, for
-    the odd loads of the bending and cantilever plates.
+    half-height blocks its load excites: one, for the odd loads of the
+    bending and cantilever plates. A positive definite block is factored by
+    LAPACK's band Cholesky (``scipy.linalg.cholesky_banded``) in the
+    system's ``band`` order, where it is a narrow band; any other block,
+    such as Born's past its threshold, by the sparse LU in the reduced
+    order, as the whole matrix is.
 
     Args:
         reduced: system after constraint elimination.

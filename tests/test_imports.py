@@ -4,7 +4,8 @@ Importing scipy.optimize also loads scipy.fft, scipy.special and
 scipy.spatial, which cost a quarter of a second and about 17 MiB, and no
 lsm2d path needs any of them: the package, its CLI, every solve path and
 the eigenform labelling (``eigen_analysis``, ``lsm2d eigen --case``) load
-only numpy and scipy.sparse (with what scipy.sparse.linalg imports). Each
+only numpy and scipy.sparse (with what scipy.sparse.linalg imports, which
+includes the scipy.linalg that the mirror blocks' band Cholesky uses). Each
 check runs in a fresh interpreter, since this one has imported everything
 the suite touches.
 """
@@ -31,6 +32,15 @@ case = lsm2d.make_case(lsm2d.CANTILEVER, 0.45, mesh_sizes=((8, 2),))
 for model in lsm2d.MODELS:
     lsm2d.run_case(case, model)
 loaded["run_case"] = "scipy.optimize" in sys.modules
+mesh = lsm2d.case_mesh(case, (8, 2))
+stencil = lsm2d.reduce_stencil(
+    mesh,
+    lsm2d.load_vector(mesh, lsm2d.case_loads(case), case.material.thickness),
+    lsm2d.case_constraints(case, mesh),
+)
+cell = lsm2d.cell_matrix(lsm2d.calibrate(case.material, lsm2d.MODIFIED))
+lsm2d.solve(stencil.fill(lsm2d.stencil_values(cell)), compute_inertia=False)
+loaded["mirror_solve"] = "scipy.optimize" in sys.modules
 spectra = {}
 for model in lsm2d.MODELS:
     stiffness = lsm2d.calibrate(lsm2d.Material(2e11, 0.3, 0.01), model)
@@ -58,6 +68,8 @@ def probe(tmp_path_factory) -> dict:
 def test_import_and_solve_leave_scipy_optimize_unloaded(probe):
     assert probe["loaded"]["import"] is False
     assert probe["loaded"]["run_case"] is False
+    # the band Cholesky of the mirror blocks comes from scipy.linalg
+    assert probe["loaded"]["mirror_solve"] is False
 
 
 def test_eigen_leaves_scipy_optimize_unloaded_and_labels_modes(probe):

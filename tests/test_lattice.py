@@ -492,6 +492,19 @@ class TestApplyLoads:
             with pytest.raises(ValueError):
                 apply_loads(system, mesh, LoadSpec(point_forces=((node, (1.0, 0.0)),)), 1.0)
 
+    def test_rejects_a_foreign_mesh(self):
+        loads = LoadSpec(edge_tractions=(EdgeTraction("right", UNIFORM, 1.0, (1.0, 0.0)),))
+        mesh, system = make_system(8, 2, born_set())
+        # the transposed grid has as many particles, with another right edge
+        with pytest.raises(ValueError, match="loads refer to"):
+            apply_loads(system, build_mesh(LatticeSpec(2, 8, 1.0)), loads, 1.0)
+        mesh, system = make_system(2, 2, born_set())
+        with pytest.raises(ValueError, match="loads refer to"):
+            apply_loads(system, build_mesh(LatticeSpec(2, 2, 0.5)), loads, 1.0)
+        # an equal lattice built again is the system's own
+        loaded = apply_loads(system, build_mesh(LatticeSpec(2, 2, 1.0)), loads, 1.0)
+        np.testing.assert_array_equal(loaded.forces, load_vector(mesh, loads, 1.0))
+
 
 class TestConstraints:
     def test_duplicate_dof_rejected(self):
@@ -861,6 +874,116 @@ class TestMirrorSplit:
         )
         assert reduced.mirror is not None
         with pytest.raises(SingularSystemError):
+            solve(reduced, compute_inertia=False)
+
+
+def block_rows(reduced, s):
+    """Reduced indices of the mirror block of parity s, in ``band`` order."""
+    free, mirror = reduced.free, reduced.mirror
+    axis = mirror == np.arange(free.size)
+    in_block = (free[mirror] > free) | axis & (np.where(free % 2, -s, s) > 0)
+    return reduced.band[in_block[reduced.band]]
+
+
+def no_splu(*args, **kwargs):
+    raise AssertionError("sparse LU called")
+
+
+class TestBandCholesky:
+    """Positive definite mirror blocks are factored by band Cholesky in ``band`` order."""
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("size", [(8, 2), (16, 4), (64, 16)])
+    def test_band_is_the_column_order_of_the_free_dofs(self, kind, size):
+        reduced = apply_constraints(*loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size))
+        band, free = reduced.band, reduced.free
+        np.testing.assert_array_equal(np.sort(band), np.arange(free.size))
+        # ix slowest, then iy, then the component
+        particle, component = free[band] // 2, free[band] % 2
+        ix, iy = particle % (size[0] + 1), particle // (size[0] + 1)
+        key = (ix * (size[1] + 1) + iy) * 2 + component
+        assert np.all(np.diff(key) > 0)
+
+    def test_band_of_a_tall_plate_is_the_row_order(self):
+        # 2 nx < ny: the half-plate's rows are its shorter lines
+        reduced = apply_constraints(make_system(2, 8, modified_set())[1], UNSUPPORTED)
+        np.testing.assert_array_equal(reduced.free[reduced.band], np.sort(reduced.free))
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("size", [(8, 2), (32, 8), (64, 16)])
+    def test_mirror_blocks_are_narrow_bands(self, kind, size):
+        reduced = apply_constraints(*loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size))
+        for s in (1.0, -1.0):
+            rows = block_rows(reduced, s)
+            block = reduced.matrix[rows][:, rows].tocoo()
+            assert np.abs(block.row - block.col).max() <= 2 * (size[1] // 2) + 5
+        # the odd load's block is the one factored, and a band factor stores
+        # its half-bandwidth plus one values per column
+        rows = block_rows(reduced, -1.0)
+        block = reduced.matrix[rows][:, rows].tocoo()
+        solution = solve(reduced, compute_inertia=False)
+        assert solution.factor_nnz == (np.abs(block.row - block.col).max() + 1) * rows.size
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (16, 32), (4, 16), (2, 16)])
+    def test_blocks_of_square_and_tall_plates_are_narrow_bands(self, nx, ny):
+        reduced = apply_constraints(make_system(nx, ny, modified_set())[1], UNSUPPORTED)
+        for s in (1.0, -1.0):
+            rows = block_rows(reduced, s)
+            block = reduced.matrix[rows][:, rows].tocoo()
+            assert np.abs(block.row - block.col).max() <= 2 * min(nx, ny // 2) + 5
+
+    def test_band_is_none_without_a_mirror(self, rng):
+        system, constraints = loaded_case(UNIAXIAL, MODIFIED, 0.3, PLANE_STRESS, (2, 2))
+        assert apply_constraints(system, UNSUPPORTED).band is not None
+        assert apply_constraints(system, constraints).band is None
+        system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (8, 2))
+        moved = Constraints(constraints.dofs, np.where(constraints.dofs % 2, 0.0, 1e-6))
+        assert apply_constraints(system, moved).band is None
+        assert apply_constraints(make_system(4, 3, modified_set())[1], UNSUPPORTED).band is None
+        cell = rng.normal(size=(8, 8))
+        mesh, system = make_system(4, 2, modified_set())
+        assert apply_constraints(assemble(mesh, cell + cell.T), UNSUPPORTED).band is None
+        # and a system cannot carry one without the other
+        reduced = apply_constraints(system, UNSUPPORTED)
+        for field in ("mirror", "band"):
+            with pytest.raises(ValueError, match="together"):
+                dataclasses.replace(reduced, **{field: None})
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize(
+        "model,nu", [(MODIFIED, 0.3), (MODIFIED, 0.49), (BORN, 0.0), (BORN, 0.3)]
+    )
+    def test_positive_definite_blocks_need_no_sparse_lu(self, monkeypatch, kind, model, nu):
+        reduced = apply_constraints(*loaded_case(kind, model, nu, PLANE_STRESS, (128, 32)))
+        u, _ = whole_factor_solve(reduced)
+
+        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
+        solution = solve(reduced, compute_inertia=False)
+        np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+        assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    def test_indefinite_blocks_fall_back_to_sparse_lu(self, monkeypatch, kind):
+        reduced = apply_constraints(*loaded_case(kind, BORN, 0.45, PLANE_STRESS, (128, 32)))
+
+        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
+        with pytest.raises(AssertionError, match="sparse LU called"):
+            solve(reduced, compute_inertia=False)
+
+    @pytest.mark.parametrize("model", lsm2d.MODELS)
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (4, 2), (8, 8)])
+    def test_singular_blocks_fall_back_to_sparse_lu(self, monkeypatch, model, nx, ny):
+        # rigid modes leave Cholesky pivots near 1e-15 of the largest, or negative
+        mesh, system = make_system(nx, ny, StiffnessSet(model, 2.0, 1.0, 3.0))
+        reduced = apply_constraints(system, UNSUPPORTED)
+        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
+        with pytest.raises(AssertionError, match="sparse LU called"):
+            solve(reduced, compute_inertia=False)
+
+    def test_singular_block_raises_on_a_zero_load(self):
+        # the sparse LU meets an exact zero pivot here, which Cholesky rounds past
+        reduced = apply_constraints(make_system(2, 2, born_set())[1], UNSUPPORTED)
+        with pytest.raises(SingularSystemError, match="singular"):
             solve(reduced, compute_inertia=False)
 
 
