@@ -135,22 +135,6 @@ def make_case(
     )
 
 
-def uniaxial_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
-    return make_case(UNIAXIAL, poisson_ratio, **kwargs)
-
-
-def pure_shear_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
-    return make_case(PURE_SHEAR, poisson_ratio, **kwargs)
-
-
-def pure_bending_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
-    return make_case(PURE_BENDING, poisson_ratio, **kwargs)
-
-
-def cantilever_case(poisson_ratio: float = 0.3, **kwargs) -> BenchmarkCase:
-    return make_case(CANTILEVER, poisson_ratio, **kwargs)
-
-
 def moment_to_linear_traction(moment: float, half_height: float, thickness: float) -> float:
     """Corner magnitude sigma_0 of the linear end traction equivalent to a moment.
 

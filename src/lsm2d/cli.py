@@ -379,8 +379,9 @@ def cmd_eigen(config: RunConfig) -> int:
         mesh = lattice.build_mesh(lattice.LatticeSpec(1, 1, cell_size=case.height))
         # on one cell the assembled matrix is the cell matrix with its DOFs
         # renumbered, so the constrained matrix is a block of the cell
-        # matrix: the free DOFs in the natural order apply_constraints
-        # keeps on a 1x1 grid, each mapped to its cell-local index
+        # matrix: the free DOFs in natural order, which is also reduce_stencil's
+        # order here (nested dissection does not split a grid of 2x2
+        # particles), each mapped to its cell-local index
         cell_dofs = (2 * mesh.cells[0][:, None] + np.arange(2)).ravel()
         free = np.setdiff1d(
             np.arange(mesh.n_dofs), benchmarks.case_constraints(case, mesh).dofs

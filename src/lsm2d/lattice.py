@@ -677,7 +677,9 @@ def _mirror_solver(reduced: ReducedSystem) -> tuple[Callable[[np.ndarray], np.nd
     matrix, factored by band Cholesky; a block that is not positive
     definite, or numerically singular, is factored instead by the sparse LU
     in the reduced order, as it would be without a band. A zero load
-    factors both blocks, so that a singular matrix can still raise.
+    factors both blocks, but a singular one raises only where the sparse LU
+    meets an exact zero pivot: of the unsupported lattices 2x2 to 32x32,
+    Born's 2x2 alone; the others return u = 0.
     """
     mirror, free, band = reduced.mirror, reduced.free, reduced.band
     axis = mirror == np.arange(mirror.size)
@@ -750,11 +752,12 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     u_free = apply(reduced.rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)
-    residual = float(np.linalg.norm(reduced.matrix @ u_free - reduced.rhs))
+    r = reduced.rhs - reduced.matrix @ u_free
+    residual = float(np.linalg.norm(r))
     if residual > 1e-10 * rhs_norm:
         # one step of iterative refinement rescues marginal conditioning
-        u_free = u_free + apply(reduced.rhs - reduced.matrix @ u_free)
-        residual = float(np.linalg.norm(reduced.matrix @ u_free - reduced.rhs))
+        u_free = u_free + apply(r)
+        residual = float(np.linalg.norm(reduced.rhs - reduced.matrix @ u_free))
         if residual > 1e-10 * rhs_norm:
             raise SingularSystemError(
                 f"solve failed: residual {residual:.3e} exceeds tolerance "

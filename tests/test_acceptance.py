@@ -14,11 +14,15 @@ import pytest
 
 from lsm2d import (
     BORN,
+    CANTILEVER,
     MODIFIED,
     MODELS,
     PLANE_STRAIN,
     PLANE_STRESS,
+    PURE_BENDING,
+    PURE_SHEAR,
     REGIMES,
+    UNIAXIAL,
     Constraints,
     Gradient2D,
     Material,
@@ -35,12 +39,9 @@ from lsm2d import (
     corner_displacements,
     eigen_analysis,
     elasticity_tensor,
-    pure_bending_case,
-    pure_shear_case,
-    cantilever_case,
+    make_case,
     quadratic_energy,
     run_case,
-    uniaxial_case,
 )
 from oracles import (
     born_cell_energy,
@@ -72,7 +73,7 @@ def test_criterion_1_uniaxial_gauge_displacements_match_published_values():
     worst = 0.0
     for model in MODELS:
         for nu in BENCH_NUS:
-            case = uniaxial_case(nu)
+            case = make_case(UNIAXIAL, nu)
             solutions, report = run_case(case, model)
             for solution, row in zip(solutions, report.mesh_errors):
                 assert not row.failed
@@ -205,7 +206,7 @@ def test_criterion_5_calibration_round_trip_and_isotropy():
 def test_criterion_6_shear_separates_the_models():
     # multi-bond model: exact at every particle on every mesh
     for nu in BENCH_NUS:
-        case = pure_shear_case(nu)
+        case = make_case(PURE_SHEAR, nu)
         scale = case.load * case.length / case.material.shear_modulus
         _, report = run_case(case, MODIFIED)
         for row in report.mesh_errors:
@@ -213,13 +214,13 @@ def test_criterion_6_shear_separates_the_models():
             assert row.max_abs <= 1e-9 * scale, (nu, row.mesh_size)
 
     # Born model: visibly wrong already at nu = 0.3
-    _, report = run_case(pure_shear_case(0.3), BORN)
+    _, report = run_case(make_case(PURE_SHEAR, 0.3), BORN)
     for row in report.mesh_errors:
         assert row.rel_l2 > 1e-3, row.mesh_size
 
     # Born single-cell constrained spectrum turns indefinite past nu = 0.4
     def smallest_eigenvalue(nu):
-        case = pure_shear_case(nu, mesh_sizes=((1, 1),))
+        case = make_case(PURE_SHEAR, nu, mesh_sizes=((1, 1),))
         mesh = case_mesh(case, (1, 1))
         stiffness = calibrate(case.material, BORN)
         system = assemble(mesh, cell_matrix(stiffness))
@@ -235,27 +236,27 @@ def test_criterion_6_shear_separates_the_models():
 
 def test_criterion_7_bending_and_cantilever_convergence():
     started = time.perf_counter()
-    cases = {"bending": pure_bending_case, "cantilever": cantilever_case}
+    cases = {"bending": PURE_BENDING, "cantilever": CANTILEVER}
 
     # multi-bond model converges monotonically with finest error <= 5%
-    for name, build in cases.items():
+    for name, kind in cases.items():
         for nu in BENCH_NUS:
-            study = run_case(build(nu), MODIFIED)[1]
+            study = run_case(make_case(kind, nu), MODIFIED)[1]
             assert study.strictly_decreasing, (name, nu)
             finest = study.errors("axis_v")[-1]
             assert finest <= 0.05, (name, nu, finest)
             assert study.errors("edge_u")[-1] <= 0.05, (name, nu)
 
     # Born model stalls far from the solution where it is stable
-    for name, build in cases.items():
+    for name, kind in cases.items():
         for nu in (0.0, 0.3):
-            study = run_case(build(nu), BORN)[1]
+            study = run_case(make_case(kind, nu), BORN)[1]
             errors = study.errors("axis_v")
             assert min(errors) > 0.1, (name, nu, errors)
 
     # and is flagged indefinite in its unstable regime
-    for name, build in cases.items():
-        _, report = run_case(build(0.49), BORN)
+    for name, kind in cases.items():
+        _, report = run_case(make_case(kind, 0.49), BORN)
         for row in report.mesh_errors:
             assert row.indefinite or row.failed, (name, row.mesh_size)
 
@@ -288,15 +289,15 @@ def test_criterion_9_both_regimes_exact_and_convergent():
     for regime in REGIMES:
         for nu in BENCH_NUS:
             # affine fields: exact at every particle on every mesh
-            for build, models in ((uniaxial_case, MODELS), (pure_shear_case, (MODIFIED,))):
+            for kind, models in ((UNIAXIAL, MODELS), (PURE_SHEAR, (MODIFIED,))):
                 for model in models:
-                    _, report = run_case(in_regime(build(nu), regime), model)
+                    _, report = run_case(in_regime(make_case(kind, nu), regime), model)
                     for row in report.mesh_errors:
                         worst = max(worst, row.rel_l2)
-                        assert row.rel_l2 <= 1e-9, (regime, build.__name__, model, nu)
+                        assert row.rel_l2 <= 1e-9, (regime, kind, model, nu)
     # quadratic and cubic fields: monotone refinement in plane strain too
-    for build in (pure_bending_case, cantilever_case):
+    for kind in (PURE_BENDING, CANTILEVER):
         for nu in BENCH_NUS:
-            study = run_case(in_regime(build(nu), PLANE_STRAIN), MODIFIED)[1]
-            assert study.strictly_decreasing, (build.__name__, nu)
+            study = run_case(in_regime(make_case(kind, nu), PLANE_STRAIN), MODIFIED)[1]
+            assert study.strictly_decreasing, (kind, nu)
     print(f"criterion 9 PASS: affine worst {worst:.3e} in both regimes")

@@ -25,17 +25,13 @@ from lsm2d import (
     Material,
     SingularSystemError,
     analytical_field,
-    cantilever_case,
     case_constraints,
     case_loads,
     case_mesh,
     make_case,
     moment_to_linear_traction,
-    pure_bending_case,
-    pure_shear_case,
     run_case,
     sweep,
-    uniaxial_case,
 )
 from oracles import plane_stress_field_stresses
 
@@ -45,13 +41,13 @@ class TestAnalyticalFields:
         # documented plate response: 0.1 mm extension at the loaded edge,
         # nu * 0.1 mm lateral contraction at the top
         for nu, v_top in ((0.0, 0.0), (0.3, -0.03e-3), (0.49, -0.049e-3)):
-            field = analytical_field(uniaxial_case(nu))
+            field = analytical_field(make_case(UNIAXIAL, nu))
             u, v = field(np.array([0.2]), np.array([0.2]))
             assert u[0] == pytest.approx(0.1e-3, rel=1e-12)
             assert v[0] == pytest.approx(v_top, rel=1e-12, abs=1e-15)
 
     def test_shear_field(self):
-        case = pure_shear_case(0.3)
+        case = make_case(PURE_SHEAR, 0.3)
         field = analytical_field(case)
         u, v = field(np.array([0.05, 0.2]), np.array([0.1, 0.2]))
         G = case.material.shear_modulus
@@ -59,7 +55,7 @@ class TestAnalyticalFields:
         np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_bending_midspan_deflection(self):
-        case = pure_bending_case(0.3)
+        case = make_case(PURE_BENDING, 0.3)
         field = analytical_field(case)
         E = case.material.young_modulus
         inertia = case.material.thickness * case.height**3 / 12.0
@@ -82,7 +78,7 @@ class TestAnalyticalFields:
 
 class TestCantileverFieldOracle:
     def setup_method(self):
-        self.case = cantilever_case(0.3)
+        self.case = make_case(CANTILEVER, 0.3)
         self.field = analytical_field(self.case)
         self.E = self.case.material.young_modulus
         self.nu = self.case.material.poisson_ratio
@@ -153,7 +149,7 @@ class TestCantileverFieldOracle:
         assert moment == pytest.approx(-self.F * self.a**2 / (2.0 * self.E), rel=1e-3)
 
     def test_lattice_agrees_with_field_not_variant(self):
-        case = cantilever_case(0.3, mesh_sizes=((64, 16),))
+        case = make_case(CANTILEVER, 0.3, mesh_sizes=((64, 16),))
         solutions, _ = run_case(case, MODIFIED)
         mesh = case_mesh(case, (64, 16))
         num = solutions[0].displacements
@@ -177,7 +173,7 @@ class TestCaseSetup:
             BenchmarkCase(UNIAXIAL, 1.0, 1.0, Material(1.0, 0.3, 1.0), 1.0, ())
         with pytest.raises(ValueError):
             make_case("torsion", 0.3)
-        assert pure_bending_case(0.3).half_height == pytest.approx(0.0625)
+        assert make_case(PURE_BENDING, 0.3).half_height == pytest.approx(0.0625)
 
     @pytest.mark.parametrize(
         "size",
@@ -206,48 +202,47 @@ class TestCaseSetup:
         case = make_case(CANTILEVER, 0.3, regime=PLANE_STRAIN, thickness=0.02)
         assert case.material == Material(2e11, 0.3, 0.02, PLANE_STRAIN)
         assert make_case(CANTILEVER, 0.3).material.regime == PLANE_STRESS
-        assert cantilever_case(0.3) == make_case(CANTILEVER, 0.3)
         assert (case.length, case.height, case.load, case.mesh_sizes) == (
             0.5, 0.125, 1.25e7, SLENDER_MESHES
         )
 
     def test_mesh_geometry(self):
-        mesh = case_mesh(uniaxial_case(0.3), (4, 4))
+        mesh = case_mesh(make_case(UNIAXIAL, 0.3), (4, 4))
         assert mesh.spec.cell_size == pytest.approx(0.05)
         assert mesh.spec.origin == (0.0, 0.0)
-        mesh = case_mesh(pure_bending_case(0.3), (8, 2))
+        mesh = case_mesh(make_case(PURE_BENDING, 0.3), (8, 2))
         assert mesh.spec.cell_size == pytest.approx(0.0625)
         assert mesh.spec.origin == (0.0, -0.0625)
         assert mesh.positions[:, 1].min() == pytest.approx(-0.0625)
 
     def test_mesh_rejections(self):
         with pytest.raises(ValueError):
-            case_mesh(uniaxial_case(0.3), (2, 1))  # non-square cells
+            case_mesh(make_case(UNIAXIAL, 0.3), (2, 1))  # non-square cells
         with pytest.raises(ValueError):
-            case_mesh(pure_bending_case(0.3), (4, 1))  # axis support needs even ny
+            case_mesh(make_case(PURE_BENDING, 0.3), (4, 1))  # axis support needs even ny
         with pytest.raises(ValueError):
-            case_mesh(cantilever_case(0.3), (4, 1))
+            case_mesh(make_case(CANTILEVER, 0.3), (4, 1))
 
     def test_constraint_counts(self):
-        case = uniaxial_case(0.3)
+        case = make_case(UNIAXIAL, 0.3)
         mesh = case_mesh(case, (4, 4))
         assert case_constraints(case, mesh).dofs.size == 10
-        case = pure_shear_case(0.3)
+        case = make_case(PURE_SHEAR, 0.3)
         assert case_constraints(case, case_mesh(case, (4, 4))).dofs.size == 10
-        case = pure_bending_case(0.3)
+        case = make_case(PURE_BENDING, 0.3)
         assert case_constraints(case, case_mesh(case, (8, 2))).dofs.size == 3
-        case = cantilever_case(0.3)
+        case = make_case(CANTILEVER, 0.3)
         assert case_constraints(case, case_mesh(case, (8, 2))).dofs.size == 6
 
     def test_load_specs(self):
-        tractions = case_loads(pure_bending_case(0.3)).edge_tractions
+        tractions = case_loads(make_case(PURE_BENDING, 0.3)).edge_tractions
         assert {t.edge for t in tractions} == {"left", "right"}
         assert all(t.profile == "linear" for t in tractions)
         assert all(t.direction == (1.0, 0.0) for t in tractions)
         right = next(t for t in tractions if t.edge == "right")
         assert right.magnitude == pytest.approx(-1e8, rel=1e-4)
 
-        (traction,) = case_loads(cantilever_case(0.3)).edge_tractions
+        (traction,) = case_loads(make_case(CANTILEVER, 0.3)).edge_tractions
         assert traction.edge == "left"
         assert traction.direction == (0.0, -1.0)
         assert traction.magnitude == pytest.approx(1e8, rel=1e-12)
@@ -274,16 +269,18 @@ class TestSweep:
 
     def test_cases_must_share_the_plate(self):
         with pytest.raises(ValueError):
-            sweep([(uniaxial_case(0.3), BORN), (uniaxial_case(0.3, thickness=0.02), BORN)])
+            sweep(
+                [(make_case(UNIAXIAL, 0.3), BORN), (make_case(UNIAXIAL, 0.3, thickness=0.02), BORN)]
+            )
         with pytest.raises(ValueError):
-            sweep([(uniaxial_case(0.3), BORN), (pure_shear_case(0.3), BORN)])
+            sweep([(make_case(UNIAXIAL, 0.3), BORN), (make_case(PURE_SHEAR, 0.3), BORN)])
         assert sweep([]).runs == ()
 
 
 class TestAffineExactness:
     @pytest.mark.parametrize("model", [BORN, MODIFIED])
     def test_uniaxial_exact_at_every_particle(self, model):
-        case = uniaxial_case(0.3, mesh_sizes=((2, 2), (5, 5)))
+        case = make_case(UNIAXIAL, 0.3, mesh_sizes=((2, 2), (5, 5)))
         _, report = run_case(case, model)
         for row in report.mesh_errors:
             assert row.rel_l2 <= 1e-9
@@ -291,7 +288,7 @@ class TestAffineExactness:
             assert not row.failed and not row.indefinite
 
     def test_shear_exact_for_multibond_only(self):
-        case = pure_shear_case(0.3, mesh_sizes=((4, 4),))
+        case = make_case(PURE_SHEAR, 0.3, mesh_sizes=((4, 4),))
         _, report = run_case(case, MODIFIED)
         assert report.mesh_errors[0].rel_l2 <= 1e-9
         _, report = run_case(case, BORN)
@@ -299,7 +296,7 @@ class TestAffineExactness:
 
     def test_born_shear_response_too_stiff(self):
         # rotation penalty absorbs part of the load: deflections short
-        case = pure_shear_case(0.0, mesh_sizes=((8, 8),))
+        case = make_case(PURE_SHEAR, 0.0, mesh_sizes=((8, 8),))
         solutions, _ = run_case(case, BORN)
         mesh = case_mesh(case, (8, 8))
         top = mesh.edge_nodes("top")
@@ -311,29 +308,29 @@ class TestAffineExactness:
 class TestConvergence:
     def test_multibond_bending_converges(self):
         for nu in (0.0, 0.3):
-            study = run_case(pure_bending_case(nu), MODIFIED)[1]
+            study = run_case(make_case(PURE_BENDING, nu), MODIFIED)[1]
             assert study.strictly_decreasing, nu
             assert study.errors("axis_v")[-1] <= 0.05
             assert study.errors("edge_u")[-1] <= 0.05
 
     def test_multibond_cantilever_converges(self):
-        study = run_case(cantilever_case(0.3), MODIFIED)[1]
+        study = run_case(make_case(CANTILEVER, 0.3), MODIFIED)[1]
         assert study.strictly_decreasing
         assert study.errors("axis_v")[-1] <= 0.05
 
     def test_born_bending_stalls(self):
-        study = run_case(pure_bending_case(0.0), BORN)[1]
+        study = run_case(make_case(PURE_BENDING, 0.0), BORN)[1]
         assert not study.strictly_decreasing
         assert min(study.errors("axis_v")) > 0.5
 
     def test_born_cantilever_softens_with_poisson_ratio(self):
-        stiff = run_case(cantilever_case(0.0), BORN)[1]
-        softer = run_case(cantilever_case(0.3), BORN)[1]
+        stiff = run_case(make_case(CANTILEVER, 0.0), BORN)[1]
+        softer = run_case(make_case(CANTILEVER, 0.3), BORN)[1]
         assert softer.errors("axis_v")[-1] < stiff.errors("axis_v")[-1]
         assert min(softer.errors("axis_v")) > 0.5  # still nowhere near converged
 
     def test_born_unstable_regime_flagged(self):
-        _, report = run_case(pure_bending_case(0.49, mesh_sizes=((8, 2), (16, 4))), BORN)
+        _, report = run_case(make_case(PURE_BENDING, 0.49, mesh_sizes=((8, 2), (16, 4))), BORN)
         for row in report.mesh_errors:
             assert row.indefinite
             assert row.inertia[0] > 0
@@ -341,8 +338,8 @@ class TestConvergence:
     def test_verdict_past_the_dense_size_limit(self):
         # 33,280 free DOFs: a dense copy would take 8.9 GB, the factor does not
         size = (256, 64)
-        _, stable = run_case(cantilever_case(0.3, mesh_sizes=(size,)), MODIFIED)
-        _, unstable = run_case(cantilever_case(0.45, mesh_sizes=(size,)), BORN)
+        _, stable = run_case(make_case(CANTILEVER, 0.3, mesh_sizes=(size,)), MODIFIED)
+        _, unstable = run_case(make_case(CANTILEVER, 0.45, mesh_sizes=(size,)), BORN)
         assert stable.mesh_errors[0].inertia == (0, 0, 33280)
         assert not stable.mesh_errors[0].indefinite
         assert unstable.mesh_errors[0].inertia[0] > 0
@@ -353,7 +350,7 @@ class TestConvergence:
             raise SingularSystemError("injected failure", (2, 0, 10))
 
         monkeypatch.setattr("lsm2d.lattice.solve", failing_solve)
-        solutions, report = run_case(uniaxial_case(0.3, mesh_sizes=((2, 2),)), MODIFIED)
+        solutions, report = run_case(make_case(UNIAXIAL, 0.3, mesh_sizes=((2, 2),)), MODIFIED)
         row = report.mesh_errors[0]
         assert solutions == [None]
         assert row.failed and row.failure == "injected failure"
@@ -361,7 +358,7 @@ class TestConvergence:
         assert row.indefinite
 
     def test_bending_supports_exact(self):
-        case = pure_bending_case(0.3, mesh_sizes=((16, 4),))
+        case = make_case(PURE_BENDING, 0.3, mesh_sizes=((16, 4),))
         solutions, _ = run_case(case, MODIFIED)
         mesh = case_mesh(case, (16, 4))
         d = solutions[0].displacements
@@ -370,7 +367,7 @@ class TestConvergence:
         assert d[mesh.node_index(8, 2), 0] == 0.0
 
     def test_report_metadata(self):
-        case = pure_bending_case(0.3, mesh_sizes=((8, 2),))
+        case = make_case(PURE_BENDING, 0.3, mesh_sizes=((8, 2),))
         _, report = run_case(case, MODIFIED)
         assert report.kind == PURE_BENDING
         assert report.model == MODIFIED
@@ -379,7 +376,7 @@ class TestConvergence:
         assert set(report.mesh_errors[0].profile_errors) == {"edge_u", "axis_v"}
 
     def test_profile_keys_absent_for_square_plates(self):
-        case = uniaxial_case(0.3, mesh_sizes=((2, 2),))
+        case = make_case(UNIAXIAL, 0.3, mesh_sizes=((2, 2),))
         _, report = run_case(case, MODIFIED)
         assert report.mesh_errors[0].profile_errors == {}
         study = ErrorReport(UNIAXIAL, MODIFIED, 0.3, report.mesh_errors)
@@ -414,5 +411,5 @@ class TestConvergence:
         assert not failed.strictly_decreasing
 
     def test_default_mesh_ladder(self):
-        assert cantilever_case(0.3).mesh_sizes == SLENDER_MESHES
-        assert pure_shear_case(0.3).mesh_sizes == ((2, 2), (4, 4), (8, 8), (16, 16))
+        assert make_case(CANTILEVER, 0.3).mesh_sizes == SLENDER_MESHES
+        assert make_case(PURE_SHEAR, 0.3).mesh_sizes == ((2, 2), (4, 4), (8, 8), (16, 16))

@@ -16,6 +16,7 @@ from lsm2d import (
     MODELS,
     MODIFIED,
     PURE_BENDING,
+    UNIAXIAL,
     LatticeSpec,
     Material,
     SingularSystemError,
@@ -27,7 +28,6 @@ from lsm2d import (
     cell_matrix,
     make_case,
     run_case,
-    uniaxial_case,
 )
 from lsm2d import cell as cell_module
 from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, read_field_csv, write_csv
@@ -218,7 +218,7 @@ class TestBenchmarkCommand:
             ]
         ) == 0
         field = read_field_csv(tmp_path / "field_uniaxial_modified_nu0.3_4x4.csv")
-        case = uniaxial_case(0.3, mesh_sizes=((4, 4),))
+        case = make_case(UNIAXIAL, 0.3, mesh_sizes=((4, 4),))
         solutions, _ = run_case(case, MODIFIED)
         assert np.array_equal(field["u"], solutions[0].displacements[:, 0])
         assert np.array_equal(field["v"], solutions[0].displacements[:, 1])
