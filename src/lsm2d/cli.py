@@ -377,21 +377,15 @@ def cmd_eigen(config: RunConfig) -> int:
         # one square cell as tall as the plate; case_mesh would demand
         # the plate's own aspect ratio and mesh parity
         mesh = lattice.build_mesh(lattice.LatticeSpec(1, 1, cell_size=case.height))
-        # on one cell the assembled matrix is the cell matrix with its DOFs
-        # renumbered, so the constrained matrix is a block of the cell
-        # matrix: the free DOFs in natural order, which is also reduce_stencil's
-        # order here (nested dissection does not split a grid of 2x2
-        # particles), each mapped to its cell-local index
-        cell_dofs = (2 * mesh.cells[0][:, None] + np.arange(2)).ravel()
-        free = np.setdiff1d(
-            np.arange(mesh.n_dofs), benchmarks.case_constraints(case, mesh).dofs
+        stencil = lattice.reduce_stencil(
+            mesh, np.zeros(mesh.n_dofs), benchmarks.case_constraints(case, mesh)
         )
-        keep = np.argsort(cell_dofs)[free]
         spectra = []
         for model in config.models:
             for nu in config.nus:
                 material = Material(config.young_modulus, nu, config.thickness, config.regime)
-                block = cell_matrix(calibrate(material, model))[np.ix_(keep, keep)]
+                cell = cell_matrix(calibrate(material, model))
+                block = stencil.fill(lattice.stencil_values(cell)).matrix.toarray()
                 values = np.linalg.eigvalsh(block) / scale
                 spectra.append((model, config.regime, nu) + tuple(values))
         n_eigs = len(spectra[0]) - 3 if spectra else 0

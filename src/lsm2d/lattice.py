@@ -26,12 +26,14 @@ grid, so the order follows from nx and ny alone, and the reduced matrix
 is factored as given, with no further ordering. The solver reports the
 inertia (negative pivot count) of the reduced matrix because intentionally
 indefinite systems are part of the workflow: they factorize and solve, but
-the result must carry an instability flag. A solve without the inertia
-factors only the half-height blocks that the load excites of a plate
-mirror-symmetric about its axis, supports included. Each block is a
+the result must carry an instability flag. A plate mirror-symmetric about
+its axis, supports included, splits into two half-height blocks. Each is a
 half-plate, so in the order of its lines of particles across the shorter
-side it is a narrow band: a positive definite block is factored by LAPACK's
-band Cholesky in that order, and any other block by the sparse LU as given.
+side it is a narrow band, factored by LAPACK's band Cholesky: both blocks
+for the inertia, which is then that of a positive definite matrix, else
+only the blocks the load excites. A system without a mirror, or with a
+block that is not positive definite, is factored whole by the sparse LU as
+given, and its pivot signs are the inertia.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def _is_integer(value) -> bool:
 class SingularSystemError(RuntimeError):
     """Reduced system could not be solved to the required residual.
 
-    ``inertia`` is that of the failed factor; None if splu itself raised.
+    ``inertia`` is that of the failed factor; None if not requested or if
+    splu itself raised.
     """
 
     def __init__(self, message: str, inertia: tuple[int, int, int] | None = None):
@@ -651,58 +654,47 @@ def _upper_band(block: scipy.sparse.csr_matrix) -> np.ndarray:
     return ab
 
 
-def _band_cholesky(ab: np.ndarray) -> np.ndarray | None:
-    """Band Cholesky factor of ``_upper_band`` storage, which it overwrites.
-
-    None unless the matrix is positive definite with every pivot (a squared
-    diagonal entry of the factor) outside the 1e-12 relative zero band that
-    ``_pivot_inertia`` uses: a lattice with a rigid mode gives pivot ratios
-    of 1e-14 or less, the supported plates above 9e-4.
-    """
-    try:
-        factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    except LinAlgError:
-        return None
-    pivots = factor[-1] ** 2
-    return factor if pivots.min() > 1e-12 * pivots.max() else None
-
-
-def _mirror_solver(reduced: ReducedSystem) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Solver through the mirror blocks that the right-hand side excites.
+def _mirror_solver(
+    reduced: ReducedSystem, every_block: bool
+) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, bool]:
+    """Band Cholesky solver through the mirror blocks, and whether it found a rigid mode.
 
     A field of parity s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y
     DOFs, so only x (s = 1) or y (s = -1) moves on the axis. Each cell lies
     in one half of the plate: the block is K on the lower and moving axis
-    DOFs, axis-axis entries halved. In ``band`` order the block is a band
-    matrix, factored by band Cholesky; a block that is not positive
-    definite, or numerically singular, is factored instead by the sparse LU
-    in the reduced order, as it would be without a band. A zero load
-    factors both blocks, but a singular one raises only where the sparse LU
-    meets an exact zero pivot: of the unsupported lattices 2x2 to 32x32,
-    Born's 2x2 alone; the others return u = 0.
+    DOFs, axis-axis entries halved, and in ``band`` order it is a band
+    matrix. Every block is factored, or only those the right-hand side
+    excites. The solver comes with the values its factors store; it is None
+    when LAPACK meets a pivot that is not positive. A rigid mode is a pivot
+    (a squared diagonal entry of a factor) within the 1e-12 relative zero
+    band of ``_pivot_inertia``, taken against the largest pivot of all the
+    blocks factored.
     """
     mirror, free, band = reduced.mirror, reduced.free, reduced.band
     axis = mirror == np.arange(mirror.size)
-    blocks, stored = [], 0
+    blocks, stored, low, high = [], 0, np.inf, 0.0
     for s in (1.0, -1.0):
         parity = np.where(free % 2, -s, s)
-        in_block = (free[mirror] > free) | axis & (parity > 0)
-        rows = np.flatnonzero(in_block)
+        rows = band[((free[mirror] > free) | axis & (parity > 0))[band]]
+        image = mirror[rows]
         # zero on the axis, where the fold halves the load and the unfold adds nothing
-        sign = np.where(axis, 0.0, parity)
-        if np.any(reduced.rhs) and not np.any(
-            reduced.rhs[rows] + sign[rows] * reduced.rhs[mirror[rows]]
-        ):
+        sign = np.where(axis[rows], 0.0, parity[rows])
+        if not (every_block or np.any(reduced.rhs[rows] + sign * reduced.rhs[image])):
             continue
-        ordered = band[in_block[band]]
-        band_factor = _band_cholesky(_upper_band(_fold(reduced.matrix, ordered, axis[ordered])))
-        if band_factor is None:
-            factor = _factor(_fold(reduced.matrix, rows, axis[rows]))
-            solve_block, stored = factor.solve, stored + int(factor.nnz)
-        else:
-            rows, stored = ordered, stored + band_factor.size
-            solve_block = partial(cho_solve_banded, (band_factor, False), check_finite=False)
-        blocks.append((rows, mirror[rows], sign[rows], solve_block))
+        ab = _upper_band(_fold(reduced.matrix, rows, axis[rows]))
+        try:
+            factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        except LinAlgError:
+            blocks = None
+            break
+        pivots = factor[-1] ** 2
+        low, high = min(low, pivots.min()), max(high, pivots.max())
+        stored += factor.size
+        solve_block = partial(cho_solve_banded, (factor, False), check_finite=False)
+        blocks.append((rows, image, sign, solve_block))
+    singular = bool(low <= 1e-12 * high)
+    if blocks is None:
+        return None, stored, singular
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         u = np.zeros_like(rhs)
@@ -712,26 +704,30 @@ def _mirror_solver(reduced: ReducedSystem) -> tuple[Callable[[np.ndarray], np.nd
             u[image] += sign * y
         return u
 
-    return apply, stored
+    return apply, stored, singular
 
 
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
-    One factorization, with diagonal pivots so that its pivot signs are the
-    inertia. The matrix is factored in the order it comes in: a lattice's
-    reduced DOFs are already in nested-dissection order (see ``reduce_stencil``).
-    Without the inertia, a system with a mirror factors instead only the
-    half-height blocks its load excites: one, for the odd loads of the
-    bending and cantilever plates. A positive definite block is factored by
-    LAPACK's band Cholesky (``scipy.linalg.cholesky_banded``) in the
-    system's ``band`` order, where it is a narrow band; any other block,
-    such as Born's past its threshold, by the sparse LU in the reduced
-    order, as the whole matrix is.
+    A system with a mirror is factored on its half-height blocks by LAPACK's
+    band Cholesky (``scipy.linalg.cholesky_banded``) in its ``band`` order,
+    where each block is a narrow band: every block when the inertia is
+    requested or the load is zero, else only the blocks the load excites
+    (one, for the odd loads of the bending and cantilever plates). When
+    every block factors, the matrix is positive definite, with inertia
+    (0, 0, n). A system without a mirror, or one where LAPACK meets a pivot
+    that is not positive (Born past its threshold), is factored whole by
+    the sparse LU, with diagonal pivots so that its pivot signs are the
+    inertia, in the order it comes in: a lattice's reduced DOFs are already
+    in nested-dissection order (see ``reduce_stencil``). A band factor whose
+    smallest pivot lies in the 1e-12 relative zero band of the largest over
+    all blocks factored marks a rigid mode: the whole matrix is then
+    factored too, for the inertia, and the solve raises.
 
     Args:
         reduced: system after constraint elimination.
-        compute_inertia: also count the pivot signs; skip when stability
+        compute_inertia: also report the inertia; skip when stability
             is known. A singular block the load does not excite then passes.
 
     Returns:
@@ -743,12 +739,20 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
             solution, or residual above 1e-10 times the load norm.
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
-    if compute_inertia or reduced.mirror is None:
+    apply, singular = None, False
+    if reduced.mirror is not None:
+        every_block = compute_inertia or not np.any(reduced.rhs)
+        apply, factor_nnz, singular = _mirror_solver(reduced, every_block)
+    if apply is None or singular:
         factor = _factor(reduced.matrix)
         apply, factor_nnz = factor.solve, int(factor.nnz)
         inertia = _pivot_inertia(factor) if compute_inertia else None
+        if singular:
+            raise SingularSystemError(
+                "stiffness matrix is singular: zero band Cholesky pivot", inertia
+            )
     else:
-        (apply, factor_nnz), inertia = _mirror_solver(reduced), None
+        inertia = (0, 0, reduced.matrix.shape[0]) if compute_inertia else None
     u_free = apply(reduced.rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)

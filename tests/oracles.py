@@ -269,8 +269,9 @@ def whole_factor_solve(reduced) -> tuple[np.ndarray, int]:
     """Full displacement vector of a reduced system from one factor of its whole matrix.
 
     SuperLU in the matrix's own order with diagonal pivots, as ``solve``
-    factors a system with the inertia, and one step of iterative
-    refinement. Returns the displacements and nnz(L+U).
+    factors a system without a mirror or one that is not positive definite,
+    and one step of iterative refinement. Returns the displacements and
+    nnz(L+U).
     """
     factor = splu(
         reduced.matrix.tocsc(),

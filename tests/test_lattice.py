@@ -722,14 +722,17 @@ class TestFactorOrdering:
     """The nested-dissection factor against SuperLU's minimum-degree one."""
 
     def test_less_fill_than_minimum_degree(self):
-        system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (256, 64))
-        reduced = apply_constraints(system, constraints)
-        # the inertia takes the whole matrix, in nested-dissection order
-        solution = solve(reduced)
+        # Born past its threshold takes the whole matrix, in nested-dissection order
+        system, constraints = loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64))
+        solution = solve(apply_constraints(system, constraints))
+        assert solution.indefinite
         natural = natural_order(system, constraints)
         assert solution.factor_nnz <= 0.9 * mmd_factor(natural).nnz
-        # a solve without it factors only the odd mirror block
-        assert solve(reduced, compute_inertia=False).factor_nnz < 0.6 * solution.factor_nnz
+        # a positive definite plate without the inertia factors only the odd mirror block
+        system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (256, 64))
+        reduced = apply_constraints(system, constraints)
+        odd = solve(reduced, compute_inertia=False)
+        assert odd.factor_nnz < 0.6 * whole_factor_solve(reduced)[1]
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_indefinite_born_matches_minimum_degree(self, regime):
@@ -750,7 +753,7 @@ class TestFactorOrdering:
 
 
 class TestMirrorSplit:
-    """Solves without the inertia factor only the mirror blocks the load excites."""
+    """A solve with a mirror factors every block for the inertia, else those the load excites."""
 
     @pytest.mark.parametrize("nx,ny", [(1, 2), (3, 4), (8, 2), (5, 6)])
     def test_lattice_mirror(self, nx, ny):
@@ -824,7 +827,8 @@ class TestMirrorSplit:
         + [(MODIFIED, 0.0), (MODIFIED, 0.3), (MODIFIED, 0.49)],
     )
     def test_solve_matches_whole_factor(self, kind, regime, model, nu):
-        # Born at 0.45 and 0.49 is indefinite and must still solve
+        # Born past its threshold is indefinite and must still solve
+        past_threshold = model == BORN and nu > (1.0 / 3.0 if regime == PLANE_STRESS else 0.25)
         for size in ((8, 2), (32, 8), (128, 32)):
             reduced = apply_constraints(*loaded_case(kind, model, nu, regime, size))
             assert reduced.mirror is not None
@@ -837,12 +841,19 @@ class TestMirrorSplit:
                     with pytest.raises(SingularSystemError, match="residual"):
                         solve(reduced, compute_inertia=compute_inertia)
                 continue
-            solution = solve(reduced, compute_inertia=False)
             u, factor_nnz = whole_factor_solve(reduced)
-            np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
-            assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
-            assert solution.factor_nnz < 0.6 * factor_nnz
+            for compute_inertia in (True, False):
+                solution = solve(reduced, compute_inertia=compute_inertia)
+                np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+                assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+                assert solution.indefinite == (compute_inertia and past_threshold)
+            # the last solve, without the inertia
             assert solution.inertia is None
+            if past_threshold:
+                # LAPACK rejects a block: the whole matrix, as the oracle factors it
+                assert solution.factor_nnz == factor_nnz
+            else:
+                assert solution.factor_nnz < 0.6 * factor_nnz
 
     def test_random_load_excites_both_blocks(self, rng):
         reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRAIN, (32, 8)))
@@ -958,12 +969,14 @@ class TestBandCholesky:
         u, _ = whole_factor_solve(reduced)
 
         monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
-        solution = solve(reduced, compute_inertia=False)
-        np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
-        assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+        for compute_inertia, inertia in ((True, (0, 0, reduced.matrix.shape[0])), (False, None)):
+            solution = solve(reduced, compute_inertia=compute_inertia)
+            np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+            assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+            assert solution.inertia == inertia
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
-    def test_indefinite_blocks_fall_back_to_sparse_lu(self, monkeypatch, kind):
+    def test_indefinite_systems_take_the_whole_factor(self, monkeypatch, kind):
         reduced = apply_constraints(*loaded_case(kind, BORN, 0.45, PLANE_STRESS, (128, 32)))
 
         monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
@@ -980,11 +993,17 @@ class TestBandCholesky:
         with pytest.raises(AssertionError, match="sparse LU called"):
             solve(reduced, compute_inertia=False)
 
-    def test_singular_block_raises_on_a_zero_load(self):
-        # the sparse LU meets an exact zero pivot here, which Cholesky rounds past
-        reduced = apply_constraints(make_system(2, 2, born_set())[1], UNSUPPORTED)
+    @pytest.mark.parametrize(
+        "model,nx,ny",
+        [(BORN, 2, 2), (BORN, 4, 2), (BORN, 8, 8), (MODIFIED, 4, 2), (MODIFIED, 8, 8)],
+    )
+    @pytest.mark.parametrize("compute_inertia", [True, False])
+    def test_singular_block_raises_on_a_zero_load(self, model, nx, ny, compute_inertia):
+        # the residual of u = 0 is zero: the band factor's pivot ratio must raise
+        system = make_system(nx, ny, StiffnessSet(model, 2.0, 1.0, 3.0))[1]
+        reduced = apply_constraints(system, UNSUPPORTED)
         with pytest.raises(SingularSystemError, match="singular"):
-            solve(reduced, compute_inertia=False)
+            solve(reduced, compute_inertia=compute_inertia)
 
 
 class TestConstrainedSpectrum:
