@@ -114,13 +114,12 @@ def make_case(
     regime: str = PLANE_STRESS,
     young_modulus: float = 2e11,
     thickness: float = 0.01,
-    load: float | None = None,
     mesh_sizes: tuple[tuple[int, int], ...] | None = None,
 ) -> BenchmarkCase:
     """Build a case of the given kind on its default plate.
 
-    The material is isotropic in the given regime; ``load`` and
-    ``mesh_sizes`` default to the kind's own (see ``BenchmarkCase``).
+    The material is isotropic in the given regime; the load is the kind's
+    own (see ``BenchmarkCase``), and so are ``mesh_sizes`` by default.
     """
     if kind not in _PLATES:
         raise ValueError(f"kind must be one of {CASE_KINDS}, got {kind!r}")
@@ -130,7 +129,7 @@ def make_case(
         length,
         height,
         Material(young_modulus, poisson_ratio, thickness, regime),
-        default_load if load is None else load,
+        default_load,
         default_meshes if mesh_sizes is None else mesh_sizes,
     )
 

@@ -30,10 +30,10 @@ the result must carry an instability flag. A plate mirror-symmetric about
 its axis, supports included, splits into two half-height blocks. Each is a
 half-plate, so in the order of its lines of particles across the shorter
 side it is a narrow band, factored by LAPACK's band Cholesky: both blocks
-for the inertia, which is then that of a positive definite matrix, else
-only the blocks the load excites. A system without a mirror, or with a
-block that is not positive definite, is factored whole by the sparse LU as
-given, and its pivot signs are the inertia.
+for the inertia, else only the blocks the load excites. A system without a
+mirror, or with a block that is not positive definite, is factored whole by
+the sparse LU as given. One rule reads the pivots of either factorization
+for the inertia and the rigid modes.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import SuperLU, splu
+
+from .cell import _POSITIONS
 
 EDGES = ("left", "right", "bottom", "top")
 
@@ -61,8 +63,8 @@ def _is_integer(value) -> bool:
 class SingularSystemError(RuntimeError):
     """Reduced system could not be solved to the required residual.
 
-    ``inertia`` is that of the failed factor; None if not requested or if
-    splu itself raised.
+    ``inertia`` is read from the failed factorization's pivots (see ``solve``);
+    None if not requested, if the LU pivoted off the diagonal or if splu raised.
     """
 
     def __init__(self, message: str, inertia: tuple[int, int, int] | None = None):
@@ -310,7 +312,7 @@ def build_mesh(spec: LatticeSpec) -> Mesh:
     positions = np.column_stack([gx.ravel(), gy.ravel()])
     # lower-left particle of each cell, cells numbered row by row
     a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    cells = np.column_stack([a, a + 1, a + nx + 2, a + nx + 1])
+    cells = a[:, None] + _POSITIONS[:, 0] + (nx + 1) * _POSITIONS[:, 1]
     return Mesh(spec=spec, positions=positions, cells=cells)
 
 
@@ -345,10 +347,6 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
-# corners of a cell in corner order, as (dx, dy) from its lower-left particle
-_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
-
-
 def _lattice_stencil(nx: int, ny: int) -> scipy.sparse.csr_matrix:
     """Slot pattern of an nx x ny lattice's stiffness, in closed form.
 
@@ -365,7 +363,7 @@ def _lattice_stencil(nx: int, ny: int) -> scipy.sparse.csr_matrix:
     ix = np.tile(np.arange(nx + 1), ny + 1)
     iy = np.repeat(np.arange(ny + 1), nx + 1)
     mask = np.zeros(n_particles, dtype=np.int64)
-    for role, (cx, cy) in enumerate(_CORNERS):
+    for role, (cx, cy) in enumerate(_POSITIONS):
         # p is corner `role` of the cell whose lower-left particle is p - corner
         has_cell = (ix - cx >= 0) & (ix - cx < nx) & (iy - cy >= 0) & (iy - cy < ny)
         mask |= has_cell.astype(np.int64) << role
@@ -416,9 +414,9 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
     blocks = cell_matrix.reshape(4, 2, 4, 2)  # [I, a, J, b]
     values = np.full((16, 3, 2, 3, 2), -0.0)
     masks = np.arange(16)
-    for role, (ax, ay) in enumerate(_CORNERS):
+    for role, (ax, ay) in enumerate(_POSITIONS):
         with_role = masks[(masks >> role) & 1 == 1]
-        for corner, (bx, by) in enumerate(_CORNERS):
+        for corner, (bx, by) in enumerate(_POSITIONS):
             values[with_role, by - ay + 1, :, bx - ax + 1, :] += blocks[role, :, corner, :]
     return values.ravel()
 
@@ -615,16 +613,19 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     return ReducedStencil(pattern, coupling)
 
 
+def _inertia(pivots: np.ndarray) -> tuple[int, int, int]:
+    """(negative, zero, positive) counts of pivots; zero within 1e-12 of the largest |pivot|."""
+    cutoff = 1e-12 * np.abs(pivots).max() if pivots.size else 0.0
+    neg, pos = int(np.sum(pivots < -cutoff)), int(np.sum(pivots > cutoff))
+    return neg, pivots.size - neg - pos, pos
+
+
 def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:
     # Sylvester's law: with one symmetric permutation, P A P^T = L D L^T
     # and the diagonal of U is D; any row interchange voids that
     if not np.array_equal(factor.perm_r, factor.perm_c):
         return None
-    pivots = factor.U.diagonal()
-    cutoff = 1e-12 * np.abs(pivots).max() if pivots.size else 0.0
-    neg = int(np.sum(pivots < -cutoff))
-    pos = int(np.sum(pivots > cutoff))
-    return neg, pivots.size - neg - pos, pos
+    return _inertia(factor.U.diagonal())
 
 
 def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
@@ -636,43 +637,46 @@ def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
         raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
 
 
-def _fold(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np.ndarray):
-    """The block of ``matrix`` on ``rows``, entries between two axis DOFs halved."""
-    block = matrix[rows][:, rows]
-    block.data[np.repeat(on_axis, np.diff(block.indptr)) & on_axis[block.indices]] *= 0.5
-    return block
+def _band_storage(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np.ndarray):
+    """LAPACK's upper band storage ab[u + i - j, j] = a[i, j] of a = matrix[rows][:, rows].
 
-
-def _upper_band(block: scipy.sparse.csr_matrix) -> np.ndarray:
-    """LAPACK's upper band storage of a symmetric block: ab[u + i - j, j] = a[i, j]."""
-    row = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-    upper = block.indices >= row
-    col, row = block.indices[upper], row[upper]
+    Entries between two axis DOFs are halved. The rows are gathered once and
+    their columns mapped to block positions: no block matrix is formed.
+    """
+    block = matrix[rows]
+    dtype = block.indices.dtype
+    position = np.full(matrix.shape[1], -1, dtype=dtype)
+    position[rows] = np.arange(rows.size, dtype=dtype)
+    col = position[block.indices]
+    row = np.repeat(np.arange(rows.size, dtype=dtype), np.diff(block.indptr))
+    upper = col >= row  # drops the columns outside the block too
+    row, col, data = row[upper], col[upper], block.data[upper]
+    del block, upper  # freed before the band storage is allocated
+    data[on_axis[row] & on_axis[col]] *= 0.5
     u = int((col - row).max())
-    ab = np.zeros((u + 1, block.shape[0]), order="F")
-    ab[u + row - col, col] = block.data[upper]
+    ab = np.zeros((u + 1, rows.size), order="F")
+    ab[u + row - col, col] = data
     return ab
 
 
 def _mirror_solver(
     reduced: ReducedSystem, every_block: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, bool]:
-    """Band Cholesky solver through the mirror blocks, and whether it found a rigid mode.
+) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, np.ndarray]:
+    """Band Cholesky solver through the mirror blocks, with its pivots.
 
     A field of parity s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y
     DOFs, so only x (s = 1) or y (s = -1) moves on the axis. Each cell lies
     in one half of the plate: the block is K on the lower and moving axis
     DOFs, axis-axis entries halved, and in ``band`` order it is a band
     matrix. Every block is factored, or only those the right-hand side
-    excites. The solver comes with the values its factors store; it is None
-    when LAPACK meets a pivot that is not positive. A rigid mode is a pivot
-    (a squared diagonal entry of a factor) within the 1e-12 relative zero
-    band of ``_pivot_inertia``, taken against the largest pivot of all the
-    blocks factored.
+    excites. The solver, None when LAPACK meets a pivot that is not
+    positive, comes with the values its factors store and the pivots (squared
+    diagonals) of every factor completed; those of all blocks give the
+    inertia, as the blocks together are congruent to the reduced matrix.
     """
     mirror, free, band = reduced.mirror, reduced.free, reduced.band
     axis = mirror == np.arange(mirror.size)
-    blocks, stored, low, high = [], 0, np.inf, 0.0
+    blocks, stored, pivots = [], 0, np.empty(0)
     for s in (1.0, -1.0):
         parity = np.where(free % 2, -s, s)
         rows = band[((free[mirror] > free) | axis & (parity > 0))[band]]
@@ -681,20 +685,15 @@ def _mirror_solver(
         sign = np.where(axis[rows], 0.0, parity[rows])
         if not (every_block or np.any(reduced.rhs[rows] + sign * reduced.rhs[image])):
             continue
-        ab = _upper_band(_fold(reduced.matrix, rows, axis[rows]))
+        ab = _band_storage(reduced.matrix, rows, axis[rows])
         try:
             factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
         except LinAlgError:
-            blocks = None
-            break
-        pivots = factor[-1] ** 2
-        low, high = min(low, pivots.min()), max(high, pivots.max())
+            return None, stored, pivots
+        pivots = np.concatenate([pivots, factor[-1] ** 2])
         stored += factor.size
         solve_block = partial(cho_solve_banded, (factor, False), check_finite=False)
         blocks.append((rows, image, sign, solve_block))
-    singular = bool(low <= 1e-12 * high)
-    if blocks is None:
-        return None, stored, singular
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         u = np.zeros_like(rhs)
@@ -704,7 +703,7 @@ def _mirror_solver(
             u[image] += sign * y
         return u
 
-    return apply, stored, singular
+    return apply, stored, pivots
 
 
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
@@ -714,16 +713,18 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     band Cholesky (``scipy.linalg.cholesky_banded``) in its ``band`` order,
     where each block is a narrow band: every block when the inertia is
     requested or the load is zero, else only the blocks the load excites
-    (one, for the odd loads of the bending and cantilever plates). When
-    every block factors, the matrix is positive definite, with inertia
-    (0, 0, n). A system without a mirror, or one where LAPACK meets a pivot
-    that is not positive (Born past its threshold), is factored whole by
-    the sparse LU, with diagonal pivots so that its pivot signs are the
-    inertia, in the order it comes in: a lattice's reduced DOFs are already
-    in nested-dissection order (see ``reduce_stencil``). A band factor whose
-    smallest pivot lies in the 1e-12 relative zero band of the largest over
-    all blocks factored marks a rigid mode: the whole matrix is then
-    factored too, for the inertia, and the solve raises.
+    (one, for the odd loads of the bending and cantilever plates). A system
+    without a mirror, or one where LAPACK meets a pivot that is not positive
+    (Born past its threshold), is factored whole by the sparse LU, with
+    diagonal pivots, in the order it comes in: a lattice's reduced DOFs are
+    already in nested-dissection order (see ``reduce_stencil``). One rule
+    reads the pivots, the band factors' when every block factored, else the
+    whole factor's: a pivot within 1e-12 of the largest is zero, and the
+    signs are the inertia, (0, 0, n) for a positive definite matrix. A zero
+    band pivot marks a rigid mode, and the solve raises, also under a zero
+    load. Some unsupported lattices of calibrated cells escape that: LAPACK
+    rejects a block, the whole factor meets no exact zero pivot, and u = 0
+    comes back (ROADMAP item 3).
 
     Args:
         reduced: system after constraint elimination.
@@ -739,20 +740,19 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
             solution, or residual above 1e-10 times the load norm.
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
-    apply, singular = None, False
+    apply, pivots = None, np.empty(0)
     if reduced.mirror is not None:
         every_block = compute_inertia or not np.any(reduced.rhs)
-        apply, factor_nnz, singular = _mirror_solver(reduced, every_block)
-    if apply is None or singular:
+        apply, factor_nnz, pivots = _mirror_solver(reduced, every_block)
+    band_inertia = _inertia(pivots)
+    if apply is None:
         factor = _factor(reduced.matrix)
         apply, factor_nnz = factor.solve, int(factor.nnz)
         inertia = _pivot_inertia(factor) if compute_inertia else None
-        if singular:
-            raise SingularSystemError(
-                "stiffness matrix is singular: zero band Cholesky pivot", inertia
-            )
     else:
-        inertia = (0, 0, reduced.matrix.shape[0]) if compute_inertia else None
+        inertia = band_inertia if compute_inertia else None
+    if band_inertia[1]:
+        raise SingularSystemError("stiffness matrix is singular: zero band Cholesky pivot", inertia)
     u_free = apply(reduced.rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)
