@@ -30,10 +30,11 @@ the result must carry an instability flag. A plate mirror-symmetric about
 its axis, supports included, splits into two half-height blocks. Each is a
 half-plate, so in the order of its lines of particles across the shorter
 side it is a narrow band, factored by LAPACK's band Cholesky: both blocks
-for the inertia, else only the blocks the load excites. A system without a
-mirror, or with a block that is not positive definite, is factored whole by
-the sparse LU as given. One rule reads the pivots of either factorization
-for the inertia and the rigid modes.
+for the inertia or a zero load, else only the blocks the load excites. A
+system without a mirror, or with a block that is not positive definite, is
+factored whole by the sparse LU as given. One rule reads the pivots of
+whichever factorization ran: a zero among them raises, and their signs are
+the inertia.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ def _is_integer(value) -> bool:
 
 
 class SingularSystemError(RuntimeError):
-    """Reduced system could not be solved to the required residual.
+    """Reduced system is singular or could not be solved to the required residual.
 
-    ``inertia`` is read from the failed factorization's pivots (see ``solve``);
-    None if not requested, if the LU pivoted off the diagonal or if splu raised.
+    A zero pivot, of the band factors or of the sparse LU, raises it (see
+    ``solve``). ``inertia`` is read from the failed factorization's pivots;
+    None if not requested, if the LU interchanged rows or if splu raised.
     """
 
     def __init__(self, message: str, inertia: tuple[int, int, int] | None = None):
@@ -174,6 +176,8 @@ class LoadSpec:
 
     def __post_init__(self) -> None:
         for node, force in self.point_forces:
+            if not _is_integer(node):
+                raise ValueError(f"point force node must be an integer, got {node!r}")
             if len(force) != 2 or not np.all(np.isfinite(force)):
                 raise ValueError(f"point force on node {node} must be two finite values")
 
@@ -215,7 +219,7 @@ def fix_nodes(nodes: Sequence[int], directions: str, value: float = 0.0) -> list
     """Constraint pairs pinning the given particles.
 
     Args:
-        nodes: particle indices.
+        nodes: particle indices, integers (not bools).
         directions: "x", "y", or "xy".
         value: prescribed displacement in m.
     """
@@ -223,6 +227,8 @@ def fix_nodes(nodes: Sequence[int], directions: str, value: float = 0.0) -> list
         raise ValueError(f"directions must be x, y or xy, got {directions!r}")
     pairs = []
     for node in nodes:
+        if not _is_integer(node):
+            raise ValueError(f"node must be an integer, got {node!r}")
         if "x" in directions:
             pairs.append((2 * int(node), value))
         if "y" in directions:
@@ -283,7 +289,8 @@ class Solution:
         residual: ||K u - rhs|| of the reduced solve, in N.
         inertia: (negative, zero, positive) pivot counts of the reduced
             matrix, or None when not computed or when the factor pivoted
-            off the diagonal.
+            off the diagonal. A returned solution has no zero pivot among
+            those read.
         indefinite: True when the reduced matrix has negative pivots.
         factor_nnz: values the factors computed store, summed: nnz(L+U) for
             a sparse LU, (half-bandwidth + 1) x size for a band Cholesky.
@@ -620,14 +627,6 @@ def _inertia(pivots: np.ndarray) -> tuple[int, int, int]:
     return neg, pivots.size - neg - pos, pos
 
 
-def _pivot_inertia(factor: SuperLU) -> tuple[int, int, int] | None:
-    # Sylvester's law: with one symmetric permutation, P A P^T = L D L^T
-    # and the diagonal of U is D; any row interchange voids that
-    if not np.array_equal(factor.perm_r, factor.perm_c):
-        return None
-    return _inertia(factor.U.diagonal())
-
-
 def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
     try:
         return splu(
@@ -660,7 +659,7 @@ def _band_storage(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np
 
 
 def _mirror_solver(
-    reduced: ReducedSystem, every_block: bool
+    reduced: ReducedSystem, full: bool
 ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, np.ndarray]:
     """Band Cholesky solver through the mirror blocks, with its pivots.
 
@@ -683,7 +682,7 @@ def _mirror_solver(
         image = mirror[rows]
         # zero on the axis, where the fold halves the load and the unfold adds nothing
         sign = np.where(axis[rows], 0.0, parity[rows])
-        if not (every_block or np.any(reduced.rhs[rows] + sign * reduced.rhs[image])):
+        if not (full or np.any(reduced.rhs[rows] + sign * reduced.rhs[image])):
             continue
         ab = _band_storage(reduced.matrix, rows, axis[rows])
         try:
@@ -718,41 +717,41 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     (Born past its threshold), is factored whole by the sparse LU, with
     diagonal pivots, in the order it comes in: a lattice's reduced DOFs are
     already in nested-dissection order (see ``reduce_stencil``). One rule
-    reads the pivots, the band factors' when every block factored, else the
-    whole factor's: a pivot within 1e-12 of the largest is zero, and the
-    signs are the inertia, (0, 0, n) for a positive definite matrix. A zero
-    band pivot marks a rigid mode, and the solve raises, also under a zero
-    load. Some unsupported lattices of calibrated cells escape that: LAPACK
-    rejects a block, the whole factor meets no exact zero pivot, and u = 0
-    comes back (ROADMAP item 3).
+    reads the pivots of whichever factor it made, band or LU: a zero pivot
+    (see ``_inertia``) marks a rigid mode and raises, also under a zero
+    load, and the signs are the inertia unless the LU interchanged rows.
 
     Args:
         reduced: system after constraint elimination.
-        compute_inertia: also report the inertia; skip when stability
-            is known. A singular block the load does not excite then passes.
+        compute_inertia: also report the inertia; skip when stability is
+            known. With a nonzero load the LU's pivots are then not read, and
+            a singular block the load does not excite passes.
 
     Returns:
         Solution with the full displacement vector (prescribed DOFs
         re-inserted) and an indefiniteness flag.
 
     Raises:
-        SingularSystemError: zero pivot during factorization, non-finite
+        SingularSystemError: zero pivot among those read, non-finite
             solution, or residual above 1e-10 times the load norm.
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
-    apply, pivots = None, np.empty(0)
+    full = compute_inertia or not np.any(reduced.rhs)
+    apply, pivots, signed = None, np.empty(0), compute_inertia
     if reduced.mirror is not None:
-        every_block = compute_inertia or not np.any(reduced.rhs)
-        apply, factor_nnz, pivots = _mirror_solver(reduced, every_block)
-    band_inertia = _inertia(pivots)
+        apply, factor_nnz, pivots = _mirror_solver(reduced, full)
     if apply is None:
         factor = _factor(reduced.matrix)
         apply, factor_nnz = factor.solve, int(factor.nnz)
-        inertia = _pivot_inertia(factor) if compute_inertia else None
-    else:
-        inertia = band_inertia if compute_inertia else None
-    if band_inertia[1]:
-        raise SingularSystemError("stiffness matrix is singular: zero band Cholesky pivot", inertia)
+        if full:
+            # Sylvester's law: with one symmetric permutation, P A P^T = L D L^T
+            # and the diagonal of U is D; a row interchange voids the signs only
+            pivots = factor.U.diagonal()
+            signed = signed and np.array_equal(factor.perm_r, factor.perm_c)
+    counts = _inertia(pivots)
+    inertia = counts if signed else None
+    if counts[1]:
+        raise SingularSystemError("stiffness matrix is singular: zero pivot", inertia)
     u_free = apply(reduced.rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)

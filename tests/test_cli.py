@@ -30,6 +30,7 @@ from lsm2d import (
     run_case,
 )
 from lsm2d import cell as cell_module
+from lsm2d import lattice as lattice_module
 from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, read_field_csv, write_csv
 from oracles import constrained_spectrum, csv_cell
 
@@ -286,6 +287,25 @@ class TestBenchmarkCommand:
         assert rows[0]["failed"] == "true"
         assert rows[0]["rel_l2"] == "nan"
 
+    def test_zero_pivot_exits_3_with_the_inertia(self, tmp_path, capsys):
+        # plane-strain Born at nu = 1/3 is past its threshold and singular
+        code = main(
+            [
+                "convergence",
+                "--out", str(tmp_path),
+                "--case", "cantilever",
+                "--regime", "strain",
+                "--model", "born",
+                "--nu", "0.3333333333333333",
+                "--mesh", "8x2",
+            ]
+        )
+        assert code == 3
+        assert "zero pivot" in capsys.readouterr().err
+        _, rows = read_table(tmp_path / "convergence_cantilever.csv")
+        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("true", "factor")
+        assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("2", "true")
+
     def test_inertia_source_column(self, tmp_path, monkeypatch):
         def convergence(out, model, nu):
             return main(
@@ -306,8 +326,16 @@ class TestBenchmarkCommand:
         assert int(rows[0]["negative_pivots"]) > 0
 
         # an unstable Born row whose inertia is not known must not pass
-        # for a verified-stable one
-        monkeypatch.setattr("lsm2d.lattice._pivot_inertia", lambda factor: None)
+        # for a verified-stable one: a row interchange voids the pivot signs
+        class Interchanged:
+            def __init__(self, factor):
+                self.factor, self.perm_r = factor, np.roll(factor.perm_c, 1)
+
+            def __getattr__(self, name):
+                return getattr(self.factor, name)
+
+        splu = lattice_module.splu
+        monkeypatch.setattr(lattice_module, "splu", lambda *a, **k: Interchanged(splu(*a, **k)))
         assert convergence(tmp_path / "none", "born", "0.49") == 0
         _, rows = read_table(tmp_path / "none" / "convergence_bending.csv")
         assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("0", "false")

@@ -492,6 +492,17 @@ class TestApplyLoads:
             with pytest.raises(ValueError):
                 apply_loads(system, mesh, LoadSpec(point_forces=((node, (1.0, 0.0)),)), 1.0)
 
+    @pytest.mark.parametrize("node", [1.5, 1.0, np.float64(1.0), True, np.True_, "1"], ids=repr)
+    def test_point_force_nodes_must_be_integers(self, node):
+        # 1.5 used to raise numpy's IndexError in load_vector, True to load particle 1
+        with pytest.raises(ValueError, match="integer"):
+            LoadSpec(point_forces=((node, (1.0, 0.0)),))
+
+    def test_point_force_nodes_take_numpy_integers(self):
+        mesh = build_mesh(LatticeSpec(1, 1, 1.0))
+        loads = LoadSpec(point_forces=((np.int64(1), (1.0, 0.0)), (np.int32(3), (0.0, 2.0))))
+        np.testing.assert_array_equal(load_vector(mesh, loads, 1.0), [0, 0, 1, 0, 0, 0, 0, 2])
+
     def test_rejects_a_foreign_mesh(self):
         loads = LoadSpec(edge_tractions=(EdgeTraction("right", UNIFORM, 1.0, (1.0, 0.0)),))
         mesh, system = make_system(8, 2, born_set())
@@ -561,6 +572,12 @@ class TestConstraints:
         assert fix_nodes([3], "xy") == [(6, 0.0), (7, 0.0)]
         with pytest.raises(ValueError):
             fix_nodes([3], "z")
+
+    @pytest.mark.parametrize("node", [1.7, 1.0, np.float64(1.0), True, np.True_, "1"], ids=repr)
+    def test_fix_nodes_rejects_non_integer_nodes(self, node):
+        # these used to be truncated: 1.7 and True pinned particle 1
+        with pytest.raises(ValueError, match="integer"):
+            fix_nodes([0, node], "xy")
 
     def test_elimination_shapes(self):
         mesh, system = make_system(2, 2, born_set())
@@ -900,9 +917,6 @@ def no_splu(*args, **kwargs):
     raise AssertionError("sparse LU called")
 
 
-ZERO_LOAD_ESCAPES = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
-
-
 class TestBandCholesky:
     """Positive definite mirror blocks are factored by band Cholesky in ``band`` order."""
 
@@ -993,7 +1007,7 @@ class TestBandCholesky:
         reduced = apply_constraints(system, UNSUPPORTED)
         monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
         for compute_inertia, inertia in ((True, eigenvalue_inertia(reduced.matrix)), (False, None)):
-            with pytest.raises(SingularSystemError, match="zero band Cholesky pivot") as info:
+            with pytest.raises(SingularSystemError, match="zero pivot") as info:
                 solve(reduced, compute_inertia=compute_inertia)
             assert info.value.inertia == inertia
 
@@ -1012,19 +1026,15 @@ class TestBandCholesky:
         "model,nu,nx,ny",
         [(BORN, None, 2, 2), (BORN, None, 4, 2), (BORN, None, 8, 8)]
         + [(MODIFIED, None, 4, 2), (MODIFIED, None, 8, 8)]
-        # calibrated plane-stress cells: LAPACK rejects a block, the whole
-        # factor meets no exact zero pivot, and u = 0 comes back
-        + [
-            pytest.param(model, 0.3, nx, ny, marks=ZERO_LOAD_ESCAPES)
-            for model, nx, ny in [
-                (BORN, 8, 8),
-                (MODIFIED, 2, 2),
-                (MODIFIED, 4, 2),
-                (MODIFIED, 4, 4),
-                (MODIFIED, 8, 8),
-                (MODIFIED, 32, 32),
-            ]
-        ],
+        # calibrated plane-stress cells: LAPACK rejects a block, and the
+        # whole factor's pivots hold the zero
+        + [(BORN, 0.3, 8, 8), (MODIFIED, 0.3, 2, 2), (MODIFIED, 0.3, 4, 2)]
+        + [(MODIFIED, 0.3, 4, 4), (MODIFIED, 0.3, 8, 8), (MODIFIED, 0.3, 32, 32)]
+        # odd ny, no mirror: the whole factor alone
+        + [(model, nu, nx, ny) for model in lsm2d.MODELS for nu in (None, 0.3)
+           for nx, ny in [(3, 3), (16, 15)]]
+        # the LU interchanges rows: no inertia, but its zero pivot still raises
+        + [(MODIFIED, None, 2, 1), (BORN, 0.49, 3, 3)],
     )
     @pytest.mark.parametrize("compute_inertia", [True, False])
     def test_singular_block_raises_on_a_zero_load(self, model, nu, nx, ny, compute_inertia):
@@ -1036,6 +1046,16 @@ class TestBandCholesky:
         reduced = apply_constraints(make_system(nx, ny, stiffness)[1], UNSUPPORTED)
         with pytest.raises(SingularSystemError, match="singular"):
             solve(reduced, compute_inertia=compute_inertia)
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("size", [(8, 2), (64, 16)], ids=["8x2", "64x16"])
+    def test_born_past_its_plane_strain_threshold_at_a_third_is_singular(self, kind, size):
+        # k_s1 < 0 at nu = 1/3 in plane strain: LAPACK rejects a block, and the
+        # whole LU's pivots, spanning over 20 decades, hold zeros
+        reduced = apply_constraints(*loaded_case(kind, BORN, 1.0 / 3.0, PLANE_STRAIN, size))
+        with pytest.raises(SingularSystemError, match="zero pivot") as info:
+            solve(reduced)
+        assert info.value.inertia[1] > 0
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("model", lsm2d.MODELS)
