@@ -1,6 +1,7 @@
 """Mesh, assembly, load lumping, constraint and solver tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from oracles import (
     constrained_spectrum,
     coo_assembly,
     eigenvalue_inertia,
+    gathered_band_storage,
+    recursive_dissection,
     sliced_reduction,
     whole_factor_solve,
 )
@@ -327,6 +330,16 @@ class TestNestedDissection:
                 if max(nx, ny) >= 2:
                     middle = grid[:, (nx + 1) // 2] if nx >= ny else grid[(ny + 1) // 2]
                     np.testing.assert_array_equal(order[-2 * middle.size :: 2], 2 * middle)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[(nx, ny) for nx in range(1, 41) for ny in range(1, 41)], [(256, 64), (512, 128)]],
+        ids=["1..40", "large"],
+    )
+    def test_matches_the_recursive_oracle(self, sizes):
+        # the order memoised by block shape is the recursion on grid views
+        for nx, ny in sizes:
+            np.testing.assert_array_equal(_nested_dissection(nx, ny), recursive_dissection(nx, ny))
 
     def test_order_travels_to_the_reduced_system(self):
         mesh, system = make_system(5, 3, modified_set())
@@ -1056,6 +1069,49 @@ class TestBandCholesky:
         with pytest.raises(SingularSystemError, match="zero pivot") as info:
             solve(reduced)
         assert info.value.inertia[1] > 0
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("size", [(8, 2), (64, 16)], ids=["8x2", "64x16"])
+    def test_born_at_a_third_raises_without_the_inertia(self, kind, size):
+        # the load excites one block only, LAPACK rejects a block, and the
+        # whole LU's zero pivots raise though the inertia is not requested
+        reduced = apply_constraints(*loaded_case(kind, BORN, 1.0 / 3.0, PLANE_STRAIN, size))
+        with pytest.raises(SingularSystemError, match="zero pivot") as info:
+            solve(reduced, compute_inertia=False)
+        assert info.value.inertia is None
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("size", [(256, 64), (512, 128)], ids=["256x64", "512x128"])
+    def test_band_storage_matches_the_gathered_block(self, kind, size):
+        # many chunks at 512x128; the dense check below cannot reach these sizes
+        system, constraints = loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size)
+        stencil = reduce_stencil(system.mesh, system.forces, constraints)
+        for model in lsm2d.MODELS:
+            stiffness = calibrate(Material(2e11, 0.3, 0.01), model)
+            reduced = stencil.fill(stencil_values(cell_matrix(stiffness)))
+            axis = reduced.mirror == np.arange(reduced.free.size)
+            for s in (1.0, -1.0):
+                rows = block_rows(reduced, s)
+                ab = _band_storage(reduced.matrix, rows, axis[rows])
+                expected = gathered_band_storage(reduced.matrix, rows, axis[rows])
+                assert ab.flags.f_contiguous and ab.shape == expected.shape
+                assert np.array_equal(ab, expected)
+
+    def test_band_storage_takes_little_beyond_its_result(self):
+        # numpy reports its buffers to tracemalloc; gathering the block's rows
+        # at once peaked 12.5 MiB above the 67 MiB band
+        reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (512, 128)))
+        axis = reduced.mirror == np.arange(reduced.free.size)
+        rows = block_rows(reduced, -1.0)
+        on_axis = axis[rows]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ab = _band_storage(reduced.matrix, rows, on_axis)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - ab.nbytes <= 0.1 * ab.nbytes
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("model", lsm2d.MODELS)
