@@ -10,12 +10,14 @@ Subcommands:
   solution, plus an error and stability table.
 * ``convergence``: the error table alone.
 
-Runs are configured by flags, optionally seeded from a flat key=value
-config file (section-prefixed keys such as ``material.E=2e11``); flags
-override file values. All CSV output is byte-deterministic: fixed column
-order, 17 significant digits, LF line endings, and a leading '#' comment
-block describing the inputs. Exit codes: 0 success, 2 usage error,
-3 numerical failure, 4 I/O failure.
+Runs are configured by flags, which argparse alone reads and checks. A
+flat key=value config file (``material.E=2e11``) stands for the flags its
+keys name (``CONFIG_FLAGS``), parsed before the command line's, so flags
+win; a key whose flag the command does not take is checked, then ignored.
+All CSV output is byte-deterministic: fixed column order, 17 significant
+digits, LF line endings, and a leading '#' comment block describing the
+inputs. Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__, benchmarks, lattice
 from .cell import EIGENFORMS, anisotropy_factor, cell_matrix, eigen_analysis, elasticity_tensor
-from .materials import BORN, MODIFIED, MODELS, PLANE_STRAIN, PLANE_STRESS, Material, calibrate
+from .materials import MODELS, PLANE_STRAIN, PLANE_STRESS, Material, calibrate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,20 +54,21 @@ CASE_NAMES = {
 }
 REGIME_NAMES = {"stress": PLANE_STRESS, "strain": PLANE_STRAIN}
 
-CONFIG_KEYS = {
-    "material.E",
-    "material.t",
-    "run.model",
-    "run.regime",
-    "run.nu",
-    "run.case",
-    "run.mesh",
-    "run.out",
+# each config-file key and the flag it stands for
+CONFIG_FLAGS = {
+    "material.E": "--E",
+    "material.t": "--thickness",
+    "run.model": "--model",
+    "run.regime": "--regime",
+    "run.nu": "--nu",
+    "run.case": "--case",
+    "run.mesh": "--mesh",
+    "run.out": "--out",
 }
 
 
-class UsageError(ValueError):
-    """Invalid configuration or arguments."""
+class UsageError(argparse.ArgumentTypeError):
+    """Invalid configuration or arguments; from a flag's type, argparse reports it."""
 
 
 @dataclass(frozen=True)
@@ -123,26 +126,13 @@ def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
         handle.write(_format_table(rows.tolist() if isinstance(rows, np.ndarray) else rows))
 
 
-def read_field_csv(path: Path) -> dict[str, np.ndarray]:
-    """Parse a field CSV back into arrays; exact for 17-digit floats."""
-    header: list[str] = []
-    data: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header:
-                header = line.split(",")
-                continue
-            data.append([float(v) for v in line.split(",")])
-    arr = np.array(data) if data else np.empty((0, len(header)))
-    return {name: arr[:, i] for i, name in enumerate(header)}
+def load_config_file(path: Path, command: str) -> list[str]:
+    """The flags that a flat key=value config file stands for.
 
-
-def load_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment, unknown keys rejected."""
-    values: dict[str, str] = {}
+    '#' starts a comment and unknown keys are rejected. A key whose flag
+    ``command`` does not take is checked, then left out.
+    """
+    flags = []
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -154,10 +144,27 @@ def load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
-    return values
+        flag = CONFIG_FLAGS[key]
+        if flag in _flags(command):
+            # as "--flag=value", a value that starts with "-" is not read as an option
+            flags.append(f"{flag}={value}")
+        else:  # checked as the flag it names, then left out
+            check = argparse.ArgumentParser(prog=f"{path}:{lineno}: {key}", add_help=False)
+            check.add_argument(flag, **_flags("benchmark")[flag])
+            check.parse_args([f"{flag}={value}"])
+    return flags
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise UsageError(f"invalid number {text!r}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"must be positive and finite, got {value}")
+    return value
 
 
 def _parse_nus(text: str) -> tuple[float, ...]:
@@ -168,8 +175,9 @@ def _parse_nus(text: str) -> tuple[float, ...]:
     for nu in nus:
         if not 0.0 <= nu < 0.5:
             raise UsageError(f"nu must lie in [0, 0.5), got {nu}")
-    if len(set(nus)) != len(nus):
-        raise UsageError(f"repeated nu in {text!r}")
+    # a field file is named by format(nu, "g"), and -0 is the same nu as 0
+    if len({format(abs(nu), "g") for nu in nus}) != len(nus):
+        raise UsageError(f"repeated nu in {text!r} (equal at 6 significant digits)")
     return nus
 
 
@@ -196,98 +204,54 @@ def _parse_meshes(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(meshes)
 
 
+def _flags(command: str) -> dict[str, dict]:
+    """The flags ``command`` takes, each with its argparse settings."""
+    runs_plates = command in ("benchmark", "convergence")
+    # a default that is a string would go through ``type`` once more
+    nus = DEFAULT_BENCH_NUS if runs_plates else DEFAULT_NU_SWEEP
+    flags = {
+        "--model": dict(choices=MODELS),
+        "--regime": dict(choices=sorted(REGIME_NAMES), default="stress"),
+        "--nu": dict(type=_parse_nus, default=nus, help="comma-separated Poisson ratios"),
+        "--out": dict(type=Path, default=Path("."), help="output directory"),
+        "--config": dict(help="key=value config file"),
+        "--E": dict(type=_positive, default=2e11, help="Young's modulus in Pa"),
+        "--thickness": dict(type=_positive, default=0.01, help="plate thickness in m"),
+    }
+    if command != "calibrate":
+        spectrum = "also emit the constrained single-cell spectrum of this case"
+        flags["--case"] = dict(choices=sorted(CASE_NAMES), help=None if runs_plates else spectrum)
+    if runs_plates:
+        flags["--mesh"] = dict(type=_parse_meshes, help="comma-separated <nx>x<ny> sizes")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lsm2d", description="2D lattice spring solver"
-    )
+    parser = argparse.ArgumentParser(prog="lsm2d", description="2D lattice spring solver")
     parser.add_argument("--version", action="version", version=f"lsm2d {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("calibrate", "eigen", "benchmark", "convergence"):
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--model", choices=MODELS)
-        cmd.add_argument("--regime", choices=sorted(REGIME_NAMES))
-        cmd.add_argument("--nu", help="comma-separated Poisson ratios")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--config", help="key=value config file")
-        cmd.add_argument("--E", type=float, help="Young's modulus in Pa")
-        cmd.add_argument("--thickness", type=float, help="plate thickness in m")
-        if name in ("benchmark", "convergence"):
-            cmd.add_argument("--case", choices=sorted(CASE_NAMES))
-            cmd.add_argument("--mesh", help="comma-separated <nx>x<ny> sizes")
-        if name == "eigen":
-            cmd.add_argument(
-                "--case",
-                choices=sorted(CASE_NAMES),
-                help="also emit the constrained single-cell spectrum of this case",
-            )
+        for flag, settings in _flags(name).items():
+            cmd.add_argument(flag, **settings)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file values and CLI flags (flags win) and validate."""
-    file_values: dict[str, str] = {}
-    if args.config:
-        file_values = load_config_file(Path(args.config))
-
-    def pick(flag_value, key: str):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key)
-
-    model = pick(args.model, "run.model")
-    if model is not None and model not in MODELS:
-        raise UsageError(f"model must be one of {MODELS}, got {model!r}")
-    models = (model,) if model else MODELS
-
-    regime_name = pick(args.regime, "run.regime")
-    if regime_name is None:
-        regime = PLANE_STRESS
-    elif regime_name in REGIME_NAMES:
-        regime = REGIME_NAMES[regime_name]
-    else:
-        raise UsageError(f"regime must be stress or strain, got {regime_name!r}")
-
-    nu_text = pick(args.nu, "run.nu")
-    if nu_text is not None:
-        nus = _parse_nus(nu_text)
-    elif args.command in ("benchmark", "convergence"):
-        nus = DEFAULT_BENCH_NUS
-    else:
-        nus = DEFAULT_NU_SWEEP
-
-    case = pick(getattr(args, "case", None), "run.case")
-    if case is not None and case not in CASE_NAMES:
-        raise UsageError(f"case must be one of {sorted(CASE_NAMES)}, got {case!r}")
+    """Map parsed flags to a run; argparse has checked each value."""
+    case = getattr(args, "case", None)
     if args.command in ("benchmark", "convergence") and case is None:
         raise UsageError(f"{args.command} requires --case")
-
-    mesh_text = pick(getattr(args, "mesh", None), "run.mesh")
-    meshes = _parse_meshes(mesh_text) if mesh_text is not None else None
-
-    out = Path(pick(args.out, "run.out") or ".")
-
-    def pick_float(flag_value, key: str, default: float) -> float:
-        raw = pick(flag_value, key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid value for {key}: {raw!r}") from exc
-        if not (math.isfinite(value) and value > 0.0):
-            raise UsageError(f"{key} must be positive and finite, got {value}")
-        return value
-
     return RunConfig(
         command=args.command,
-        models=models,
-        regime=regime,
-        nus=nus,
+        models=(args.model,) if args.model else MODELS,
+        regime=REGIME_NAMES[args.regime],
+        nus=args.nu,
         case=case,
-        meshes=meshes,
-        out=out,
-        young_modulus=pick_float(args.E, "material.E", 2e11),
-        thickness=pick_float(args.thickness, "material.t", 0.01),
+        meshes=getattr(args, "mesh", None),
+        out=args.out,
+        young_modulus=args.E,
+        thickness=args.thickness,
     )
 
 
@@ -408,23 +372,13 @@ def _field_rows(mesh, solution, field) -> np.ndarray:
     )
 
 
-def _run_benchmark(config: RunConfig, write_fields: bool) -> int:
+def cmd_benchmark(config: RunConfig) -> int:
+    """``benchmark`` and ``convergence``: only ``benchmark`` writes the fields."""
+    write_fields = config.command == "benchmark"
     kind = CASE_NAMES[config.case]
     error_header = [
-        "model",
-        "regime",
-        "case",
-        "nu",
-        "nx",
-        "ny",
-        "rel_l2",
-        "max_abs",
-        "edge_u",
-        "axis_v",
-        "negative_pivots",
-        "indefinite",
-        "failed",
-        "inertia_source",
+        "model", "regime", "case", "nu", "nx", "ny", "rel_l2", "max_abs", "edge_u", "axis_v",
+        "negative_pivots", "indefinite", "failed", "inertia_source",
     ]
     runs = [
         (
@@ -509,37 +463,29 @@ def _run_benchmark(config: RunConfig, write_fields: bool) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(config: RunConfig) -> int:
-    return _run_benchmark(config, write_fields=True)
-
-
-def cmd_convergence(config: RunConfig) -> int:
-    return _run_benchmark(config, write_fields=False)
-
-
 COMMANDS = {
     "calibrate": cmd_calibrate,
     "eigen": cmd_eigen,
     "benchmark": cmd_benchmark,
-    "convergence": cmd_convergence,
+    "convergence": cmd_benchmark,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go first, so a flag on the command line wins
+            file_flags = load_config_file(Path(args.config), args.command)
+            args = parser.parse_args([argv[0], *file_flags, *argv[1:]])
+        config = resolve_config(args)
+        config.out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[config.command](config)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    try:
-        config = resolve_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        config.out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[config.command](config)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -203,6 +203,8 @@ class Constraints:
             raise ValueError("constraint values must be finite")
         if np.unique(dofs).size != dofs.size:
             raise ValueError("duplicate DOF in constraint set")
+        object.__setattr__(self, "dofs", dofs)
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, float]]) -> "Constraints":

@@ -31,7 +31,7 @@ from lsm2d import (
 )
 from lsm2d import cell as cell_module
 from lsm2d import lattice as lattice_module
-from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, read_field_csv, write_csv
+from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, write_csv
 from oracles import constrained_spectrum, csv_cell
 
 
@@ -44,6 +44,11 @@ def read_table(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+def read_field(path):
+    header, rows = read_table(path)
+    return {name: np.array([float(row[name]) for row in rows]) for name in header}
 
 
 class TestCalibrateCommand:
@@ -195,7 +200,7 @@ class TestBenchmarkCommand:
             ]
         )
         assert code == 0
-        field = read_field_csv(tmp_path / "field_uniaxial_modified_nu0.3_4x4.csv")
+        field = read_field(tmp_path / "field_uniaxial_modified_nu0.3_4x4.csv")
         corner = (field["x"] == 0.2) & (field["y"] == 0.2)
         assert field["u"][corner][0] == pytest.approx(1.0e-4, rel=1e-9)
         assert field["v"][corner][0] == pytest.approx(-3.0e-5, rel=1e-9)
@@ -218,7 +223,7 @@ class TestBenchmarkCommand:
                 "--mesh", "4x4",
             ]
         ) == 0
-        field = read_field_csv(tmp_path / "field_uniaxial_modified_nu0.3_4x4.csv")
+        field = read_field(tmp_path / "field_uniaxial_modified_nu0.3_4x4.csv")
         case = make_case(UNIAXIAL, 0.3, mesh_sizes=((4, 4),))
         solutions, _ = run_case(case, MODIFIED)
         assert np.array_equal(field["u"], solutions[0].displacements[:, 0])
@@ -492,6 +497,108 @@ class TestConfigFile:
     def test_missing_config_rejected(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    # all 8 keys, each with a value that a flag in the tests below changes
+    FULL_CONFIG = (
+        "material.E = 3e9\nmaterial.t = 0.02\nrun.model = born\nrun.regime = strain\n"
+        "run.nu = 0.2\nrun.case = bending\nrun.mesh = 16x4\nrun.out = {out}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "flag, value, field, recorded",
+        [
+            ("--E", "5e9", "E", 5e9),
+            ("--thickness", "0.03", "thickness", 0.03),
+            ("--model", "modified", "models", ["modified"]),
+            ("--regime", "stress", "regime", "plane_stress"),
+            ("--nu", "0.3", "nu", [0.3]),
+            ("--case", "cantilever", "case", "cantilever"),
+            ("--mesh", "8x2", "meshes", [[8, 2]]),
+            ("--out", None, None, None),
+        ],
+    )
+    def test_each_key_is_overridden_by_its_flag(self, tmp_path, flag, value, field, recorded):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.FULL_CONFIG.format(out=tmp_path / "file"), encoding="utf-8")
+        assert main(["convergence", "--config", str(cfg)]) == 0
+        # every flagged run overrides run.out too, so that the two runs write apart
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "flag")]
+        assert main(["convergence"] + argv + ([flag, value] if value else [])) == 0
+        from_file, from_flag = (
+            json.loads((tmp_path / name / "run_manifest.json").read_text(encoding="utf-8"))
+            for name in ("file", "flag")
+        )
+        for manifest in (from_file, from_flag):
+            for unrecorded in ("files", "written_at", "timings"):
+                del manifest[unrecorded]
+        read = {"E": 3e9, "thickness": 0.02, "models": ["born"], "regime": "plane_strain",
+                "nu": [0.2], "case": "bending", "meshes": [[16, 4]]}
+        assert {key: from_file[key] for key in read} == read
+        if field is not None:
+            assert from_file[field] != recorded
+            from_file[field] = recorded
+        assert from_flag == from_file
+
+    @pytest.mark.parametrize(
+        "command, line, code",
+        [
+            ("calibrate", "run.case = cantilever", 0),
+            ("calibrate", "run.mesh = 8x2", 0),
+            ("eigen", "run.mesh = 8x2", 0),
+            ("calibrate", "run.case = torsion", 2),
+            ("calibrate", "run.mesh = 3", 2),
+            ("eigen", "run.mesh = 3", 2),
+        ],
+    )
+    def test_key_the_command_takes_no_flag_for_is_checked_then_ignored(
+        self, tmp_path, capsys, command, line, code
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"run.nu = 0.3\n{line}\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == code
+        if code:
+            assert f"run.cfg:2: {line.split()[0]}" in capsys.readouterr().err
+            assert not (tmp_path / "cfg").exists()
+            return
+        assert main([command, "--nu", "0.3", "--out", str(tmp_path / "flags")]) == 0
+        names = sorted(path.name for path in (tmp_path / "flags").glob("*.csv"))
+        assert names == sorted(path.name for path in (tmp_path / "cfg").glob("*.csv"))
+        for name in names:
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    def test_value_starting_with_a_dash_is_a_value(self, tmp_path, monkeypatch):
+        # as two tokens, "--out" "-results", argparse would read an option
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("run.nu = 0.3\nrun.out = -results\n", encoding="utf-8")
+        assert main(["calibrate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "-results" / "calibration.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("material.E = 0", "argument --E: must be positive and finite, got 0.0"),
+            ("material.t = nan", "argument --thickness: must be positive and finite, got nan"),
+            ("run.model = both", "argument --model: invalid choice: 'both'"),
+            ("run.regime = plane", "argument --regime: invalid choice: 'plane'"),
+            # read as the value of --nu, not as an option that leaves --nu without one
+            ("run.nu = -0.1", "argument --nu: nu must lie in [0, 0.5), got -0.1"),
+            ("run.case = torsion", "argument --case: invalid choice: 'torsion'"),
+            ("run.mesh = 3", "argument --mesh: invalid mesh '3', expected <nx>x<ny>"),
+            # any text names a directory, so a bad one fails as I/O (exit 4)
+            ("run.out = {blocker}/sub", "i/o failure"),
+        ],
+    )
+    def test_invalid_value_of_each_key_writes_no_csv(self, tmp_path, capsys, line, message):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        valid = "run.case = cantilever\nrun.mesh = 8x2\nrun.nu = 0.3\nrun.out = {out}\n"
+        text = (valid + line + "\n").format(out=tmp_path / "out", blocker=blocker)
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["convergence", "--config", str(cfg)]) == (4 if "run.out" in line else 2)
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):
@@ -527,9 +634,11 @@ class TestExitCodes:
         assert main(argv) == 2
         assert not list(tmp_path.iterdir())
 
+    # field files are named by format(nu, "g"): 0.3000001 would overwrite 0.3's
+    @pytest.mark.parametrize("nus", ["0.3,0.30", "0.3,0.3000001"])
     @pytest.mark.parametrize("command", ["benchmark", "calibrate"])
-    def test_repeated_nu_rejected(self, tmp_path, command):
-        argv = [command, "--out", str(tmp_path), "--nu", "0.3,0.30"]
+    def test_repeated_nu_rejected(self, tmp_path, command, nus):
+        argv = [command, "--out", str(tmp_path), "--nu", nus]
         if command == "benchmark":
             argv += ["--case", "cantilever", "--mesh", "8x2"]
         assert main(argv) == 2

@@ -574,6 +574,26 @@ class TestConstraints:
         np.testing.assert_array_equal(constraints.dofs, [3, 5, 0])
         np.testing.assert_array_equal(constraints.values, [0.5, 0.0, 0.0])
 
+    def test_lists_reduce_and_solve_as_arrays(self):
+        # a list used to pass the checks and fail later, in reduce_stencil
+        case = lsm2d.make_case(CANTILEVER, 0.3, mesh_sizes=((8, 2),))
+        mesh = case_mesh(case, (8, 2))
+        supports = case_constraints(case, mesh)
+        values = np.where(supports.dofs == supports.dofs[-1], 1e-6, 0.0)
+        system = apply_loads(
+            assemble(mesh, cell_matrix(calibrate(case.material, MODIFIED))),
+            mesh, case_loads(case), case.material.thickness,
+        )
+        arrays = Constraints(supports.dofs, values)
+        lists = Constraints(supports.dofs.tolist(), values.tolist())
+        np.testing.assert_array_equal(lists.dofs, arrays.dofs)
+        np.testing.assert_array_equal(lists.values, arrays.values)
+        by_array, by_list = apply_constraints(system, arrays), apply_constraints(system, lists)
+        np.testing.assert_array_equal(by_list.free, by_array.free)
+        assert (by_list.matrix != by_array.matrix).nnz == 0
+        np.testing.assert_array_equal(by_list.rhs, by_array.rhs)
+        np.testing.assert_array_equal(solve(by_list).displacements, solve(by_array).displacements)
+
     def test_out_of_range_dof_rejected(self):
         mesh, system = make_system(1, 1, born_set())
         with pytest.raises(ValueError):
