@@ -476,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
+        if args.config is not None:
             # the file's flags go first, so a flag on the command line wins
             file_flags = load_config_file(Path(args.config), args.command)
             args = parser.parse_args([argv[0], *file_flags, *argv[1:]])

@@ -29,12 +29,13 @@ indefinite systems are part of the workflow: they factorize and solve, but
 the result must carry an instability flag. A plate mirror-symmetric about
 its axis, supports included, splits into two half-height blocks. Each is a
 half-plate, so in the order of its lines of particles across the shorter
-side it is a narrow band, factored by LAPACK's band Cholesky: both blocks
-for the inertia or a zero load, else only the blocks the load excites. A
-system without a mirror, or with a block that is not positive definite, is
-factored whole by the sparse LU as given. One rule reads the pivots of
-whichever factorization ran: a zero among them raises, and their signs are
-the inertia.
+side it is a narrow band, factored by LAPACK's band Cholesky, or by a tiled
+LDL^T where it is not positive definite: both blocks for the inertia or a
+zero load, else only the blocks the load excites. A system without a
+mirror, or with a block whose LDL^T meets a zero pivot, is factored whole
+by the sparse LU as given. One rule reads the pivots of whichever
+factorization ran: a zero among them raises, and their signs are the
+inertia.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import dsymm
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri, dsytrs
 from scipy.sparse.linalg import SuperLU, splu
 
 from .cell import _POSITIONS
@@ -295,7 +298,9 @@ class Solution:
             those read.
         indefinite: True when the reduced matrix has negative pivots.
         factor_nnz: values the factors computed store, summed: nnz(L+U) for
-            a sparse LU, (half-bandwidth + 1) x size for a band Cholesky.
+            a sparse LU, (half-bandwidth + 1) x size for a band Cholesky,
+            and for a tiled LDL^T each tile's factor and its coupling to
+            the next tile, b x b each in tiles of b = half-bandwidth rows.
     """
 
     u: np.ndarray
@@ -457,12 +462,18 @@ def _grid_mirror(nx: int, ny: int) -> np.ndarray | None:
     return None if ny % 2 else np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
+# the mask of each role mask's mirror image: lower and upper corner roles
+# swap, bits 0 <-> 3 and 1 <-> 2
+_MIRRORED_MASKS = np.array([int(f"{mask:04b}"[::-1], 2) for mask in range(16)])
+_V_SIGN = np.array([1.0, -1.0])
+
+
 def _mirror_symmetric(values: np.ndarray) -> bool:
-    # a table's mirror image swaps lower and upper corner roles (mask bits
-    # 0 <-> 3 and 1 <-> 2), flips dy and changes the sign of v components
-    swapped = [int(f"{mask:04b}"[::-1], 2) for mask in range(16)]
-    table, sign = values.reshape(16, 3, 2, 3, 2), np.array([1.0, -1.0])
-    return np.array_equal(table[swapped][:, ::-1] * sign[:, None, None] * sign, table)
+    # a table's mirror image swaps the role masks, flips dy and changes the
+    # sign of v components
+    table = values.reshape(16, 3, 2, 3, 2)
+    image = table[_MIRRORED_MASKS][:, ::-1] * _V_SIGN[:, None, None] * _V_SIGN
+    return np.array_equal(image, table)
 
 
 def assemble(mesh: Mesh, cell_matrix: np.ndarray) -> GlobalSystem:
@@ -685,24 +696,84 @@ def _band_storage(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np
     return ab
 
 
+def _band_ldlt(ab: np.ndarray):
+    """Tiled LDL^T of the symmetric band matrix in LAPACK's upper band storage.
+
+    In tiles of b = u rows the band is block tridiagonal, diagonal tiles A_k
+    and couplings C_k = a[tile k, tile k + 1]. Each S_k = A_k - C_{k-1}^T
+    X_{k-1} is factored by Bunch-Kaufman (``dsytrf``, interchanges within
+    the tile), and X_k = S_k^-1 C_k is formed from the tile's inverse
+    (``dsytri``, ``dsymm``), which costs less than ``dsytrs`` on b
+    right-hand sides, so a = L D L^T with D the S_k. Returns the block's
+    solver, the values its factors store and its pivots (the eigenvalues of
+    every 1x1 and 2x2 block of the tiles' D, whose signs by Sylvester's law
+    are the band's inertia); None on an exactly zero pivot or a value that
+    is not finite.
+    """
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    b, step = max(u, 1), ab.itemsize
+    # a[i, j] = ab[u + i - j, j] is element u (j + 1) + i of the storage for
+    # j - u <= i <= j: one strided view reads every tile in place, and its
+    # entries outside the band, other storage, are masked or not read
+    dense = np.ndarray((n, n), ab.dtype, ab.ravel(order="K"), u * step, (step, u * step))
+    outside = ~np.tri(b, dtype=bool, k=u - b)  # a coupling's entries outside the band
+    lwork, tiles, diagonal, above = int(dsytrf_lwork(b)[0]), [], np.empty(n), np.zeros(n)
+    for r0 in range(0, n, b):
+        r1 = min(r0 + b, n)
+        s = np.array(dense[r0:r1, r0:r1], order="F")  # its upper triangle is A_k
+        if tiles:
+            s -= c.T @ x
+        ldu, ipiv, info = dsytrf(s, lwork=lwork, overwrite_a=True)
+        c = dense[r0:r1, r1 : r1 + b].copy(order="F")
+        c[outside[: r1 - r0, : c.shape[1]]] = 0.0
+        x = dsymm(1.0, dsytri(ldu, ipiv)[0], c)
+        if info or not (np.isfinite(ldu).all() and np.isfinite(x).all()):
+            return None
+        tiles.append((r0, r1, ldu, ipiv, x))
+        diagonal[r0:r1], above[r0 + 1 : r1] = ldu.diagonal(), ldu.diagonal(1)
+    ipiv = np.concatenate([ipiv for _, _, _, ipiv, _ in tiles])
+    # from the last row upward, ipiv[k] < 0 closes the 2x2 block (k - 1, k)
+    # that ldu[k - 1, k] couples: within a run of negatives, every other one
+    # counting from its end
+    index, single = np.arange(n), np.flatnonzero(ipiv > 0)
+    run_end = np.append(single, n)[np.searchsorted(single, index)] - 1
+    k = np.flatnonzero((ipiv < 0) & ((run_end - index) % 2 == 0))
+    mean = 0.5 * (diagonal[k - 1] + diagonal[k])
+    radius = np.hypot(0.5 * (diagonal[k - 1] - diagonal[k]), above[k])
+    diagonal[k - 1], diagonal[k] = mean - radius, mean + radius
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        z = rhs.copy()
+        for r0, r1, _, _, x in tiles:  # forward: z_k+1 -= X_k^T z_k
+            z[r1 : r1 + x.shape[1]] -= z[r0:r1] @ x
+        for r0, r1, ldu, ipiv, x in reversed(tiles):  # x_k = S_k^-1 z_k - X_k x_k+1
+            z[r0:r1] = dsytrs(ldu, ipiv, z[r0:r1])[0] - x @ z[r1 : r1 + x.shape[1]]
+        return z
+
+    return apply, sum(ldu.size + x.size for _, _, ldu, _, x in tiles), diagonal
+
+
 def _mirror_solver(
     reduced: ReducedSystem, full: bool
 ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, np.ndarray]:
-    """Band Cholesky solver through the mirror blocks, with its pivots.
+    """Band solver through the mirror blocks, with its pivots.
 
     A field of parity s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y
     DOFs, so only x (s = 1) or y (s = -1) moves on the axis. Each cell lies
     in one half of the plate: the block is K on the lower and moving axis
     DOFs, axis-axis entries halved, and in ``band`` order it is a band
     matrix. Every block is factored, or only those the right-hand side
-    excites. The solver, None when LAPACK meets a pivot that is not
-    positive, comes with the values its factors store and the pivots (squared
-    diagonals) of every factor completed; those of all blocks give the
-    inertia, as the blocks together are congruent to the reduced matrix.
+    excites: by LAPACK's band Cholesky or, where that meets a pivot that is
+    not positive, by the tiled LDL^T (``_band_ldlt``) of the block gathered
+    again. The solver comes with the values its factors store and the
+    pivots (squared diagonals of a Cholesky factor, D's eigenvalues of an
+    LDL^T) of every factor completed; those of all blocks give the inertia,
+    as the blocks together are congruent to the reduced matrix. It is None
+    when an LDL^T fails or its pivots hold a zero (see ``_inertia``).
     """
     mirror, free, band = reduced.mirror, reduced.free, reduced.band
     axis = mirror == np.arange(mirror.size)
-    blocks, stored, pivots = [], 0, np.empty(0)
+    blocks, stored, pivots, indefinite = [], 0, np.empty(0), False
     for s in (1.0, -1.0):
         parity = np.where(free % 2, -s, s)
         rows = band[((free[mirror] > free) | axis & (parity > 0))[band]]
@@ -714,12 +785,18 @@ def _mirror_solver(
         ab = _band_storage(reduced.matrix, rows, axis[rows])
         try:
             factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+            solve_block = partial(cho_solve_banded, (factor, False), check_finite=False)
+            size, block_pivots = factor.size, factor[-1] ** 2
         except LinAlgError:
-            return None, stored, pivots
-        pivots = np.concatenate([pivots, factor[-1] ** 2])
-        stored += factor.size
-        solve_block = partial(cho_solve_banded, (factor, False), check_finite=False)
+            del ab  # overwritten by the failed factor: gathered again
+            ldlt = _band_ldlt(_band_storage(reduced.matrix, rows, axis[rows]))
+            if ldlt is None:
+                return None, stored, pivots
+            (solve_block, size, block_pivots), indefinite = ldlt, True
+        pivots, stored = np.concatenate([pivots, block_pivots]), stored + size
         blocks.append((rows, image, sign, solve_block))
+    if indefinite and _inertia(pivots)[1]:
+        return None, stored, pivots
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         u = np.zeros_like(rhs)
@@ -735,18 +812,20 @@ def _mirror_solver(
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
-    A system with a mirror is factored on its half-height blocks by LAPACK's
-    band Cholesky (``scipy.linalg.cholesky_banded``) in its ``band`` order,
-    where each block is a narrow band: every block when the inertia is
-    requested or the load is zero, else only the blocks the load excites
-    (one, for the odd loads of the bending and cantilever plates). A system
-    without a mirror, or one where LAPACK meets a pivot that is not positive
-    (Born past its threshold), is factored whole by the sparse LU, with
-    diagonal pivots, in the order it comes in: a lattice's reduced DOFs are
-    already in nested-dissection order (see ``reduce_stencil``). One rule
-    reads the pivots of whichever factor it made, band or LU: a zero pivot
-    (see ``_inertia``) marks a rigid mode and raises, also under a zero
-    load, and the signs are the inertia unless the LU interchanged rows.
+    A system with a mirror is factored on its half-height blocks in its
+    ``band`` order, where each block is a narrow band: every block when the
+    inertia is requested or the load is zero, else only the blocks the load
+    excites (one, for the odd loads of the bending and cantilever plates).
+    A positive definite block takes LAPACK's band Cholesky
+    (``scipy.linalg.cholesky_banded``), an indefinite one (Born past its
+    threshold) a tiled LDL^T with Bunch-Kaufman pivots inside each tile. A
+    system without a mirror, or one whose LDL^T meets a zero pivot, is
+    factored whole by the sparse LU, with diagonal pivots, in the order it
+    comes in: a lattice's reduced DOFs are already in nested-dissection
+    order (see ``reduce_stencil``). One rule reads the pivots of whichever
+    factor it made, band or LU: a zero pivot (see ``_inertia``) marks a
+    rigid mode and raises, also under a zero load, and the signs are the
+    inertia unless the LU interchanged rows.
 
     Args:
         reduced: system after constraint elimination.

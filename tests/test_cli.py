@@ -17,6 +17,7 @@ from lsm2d import (
     MODIFIED,
     PURE_BENDING,
     UNIAXIAL,
+    Constraints,
     LatticeSpec,
     Material,
     SingularSystemError,
@@ -292,8 +293,33 @@ class TestBenchmarkCommand:
         assert rows[0]["failed"] == "true"
         assert rows[0]["rel_l2"] == "nan"
 
-    def test_zero_pivot_exits_3_with_the_inertia(self, tmp_path, capsys):
-        # plane-strain Born at nu = 1/3 is past its threshold and singular
+    def test_zero_pivot_exits_3_with_the_inertia(self, tmp_path, monkeypatch, capsys):
+        # without its supports the Born nu = 0.45 plate keeps its two rigid
+        # translations: the tiled LDL^T meets a zero pivot, and so does the
+        # whole LU, whose inertia the row records
+        monkeypatch.setattr(
+            "lsm2d.benchmarks.case_constraints", lambda case, mesh: Constraints.from_pairs([])
+        )
+        code = main(
+            [
+                "convergence",
+                "--out", str(tmp_path),
+                "--case", "cantilever",
+                "--model", "born",
+                "--nu", "0.45",
+                "--mesh", "8x2",
+            ]
+        )
+        assert code == 3
+        assert "zero pivot" in capsys.readouterr().err
+        _, rows = read_table(tmp_path / "convergence_cantilever.csv")
+        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("true", "factor")
+        # the unsupported plate's eigenvalues: (5, 2, 47)
+        assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("5", "true")
+
+    def test_born_at_a_third_in_plane_strain_is_flagged_not_failed(self, tmp_path):
+        # indefinite, not singular: the whole LU read zero pivots in its
+        # element growth, the tiled LDL^T reads the eigenvalue count (9, 0, 39)
         code = main(
             [
                 "convergence",
@@ -305,33 +331,34 @@ class TestBenchmarkCommand:
                 "--mesh", "8x2",
             ]
         )
-        assert code == 3
-        assert "zero pivot" in capsys.readouterr().err
+        assert code == 0
         _, rows = read_table(tmp_path / "convergence_cantilever.csv")
-        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("true", "factor")
-        assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("2", "true")
+        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("false", "factor")
+        assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("9", "true")
 
     def test_inertia_source_column(self, tmp_path, monkeypatch):
-        def convergence(out, model, nu):
+        def convergence(out, case, model, nu, mesh):
             return main(
                 [
                     "convergence",
                     "--out", str(out),
-                    "--case", "bending",
+                    "--case", case,
                     "--model", model,
                     "--nu", nu,
-                    "--mesh", "8x2",
+                    "--mesh", mesh,
                 ]
             )
 
-        assert convergence(tmp_path / "factor", "born", "0.49") == 0
+        assert convergence(tmp_path / "factor", "bending", "born", "0.49", "8x2") == 0
         header, rows = read_table(tmp_path / "factor" / "convergence_bending.csv")
         assert header[-1] == "inertia_source"
         assert rows[0]["inertia_source"] == "factor"
         assert int(rows[0]["negative_pivots"]) > 0
 
         # an unstable Born row whose inertia is not known must not pass
-        # for a verified-stable one: a row interchange voids the pivot signs
+        # for a verified-stable one: a row interchange voids the pivot signs.
+        # The uniaxial plate has no mirror, so the sparse LU factors it
+        # (its inertia is (1, 0, 11) on 2x2)
         class Interchanged:
             def __init__(self, factor):
                 self.factor, self.perm_r = factor, np.roll(factor.perm_c, 1)
@@ -341,8 +368,8 @@ class TestBenchmarkCommand:
 
         splu = lattice_module.splu
         monkeypatch.setattr(lattice_module, "splu", lambda *a, **k: Interchanged(splu(*a, **k)))
-        assert convergence(tmp_path / "none", "born", "0.49") == 0
-        _, rows = read_table(tmp_path / "none" / "convergence_bending.csv")
+        assert convergence(tmp_path / "none", "uniaxial", "born", "0.49", "2x2") == 0
+        _, rows = read_table(tmp_path / "none" / "convergence_uniaxial.csv")
         assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("0", "false")
         assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("false", "unknown")
 
@@ -496,6 +523,12 @@ class TestConfigFile:
 
     def test_missing_config_rejected(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_empty_config_path_rejected(self, tmp_path, capsys):
+        # an empty path names no file: a usage error, not a run on the defaults
+        assert main(["calibrate", "--config", "", "--nu", "0.3", "--out", str(tmp_path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     # all 8 keys, each with a value that a flag in the tests below changes
     FULL_CONFIG = (

@@ -43,7 +43,7 @@ from lsm2d import (
     solve,
     stencil_values,
 )
-from lsm2d.lattice import _band_storage, _grid_mirror, _nested_dissection
+from lsm2d.lattice import _band_ldlt, _band_storage, _grid_mirror, _inertia, _nested_dissection
 from oracles import (
     constrained_spectrum,
     coo_assembly,
@@ -772,12 +772,13 @@ class TestFactorOrdering:
     """The nested-dissection factor against SuperLU's minimum-degree one."""
 
     def test_less_fill_than_minimum_degree(self):
-        # Born past its threshold takes the whole matrix, in nested-dissection order
+        # the whole factor, as solve makes it for a system without a mirror,
+        # in the nested-dissection order the reduced system comes in
         system, constraints = loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64))
-        solution = solve(apply_constraints(system, constraints))
-        assert solution.indefinite
         natural = natural_order(system, constraints)
-        assert solution.factor_nnz <= 0.9 * mmd_factor(natural).nnz
+        assert whole_factor_solve(apply_constraints(system, constraints))[1] <= 0.9 * mmd_factor(
+            natural
+        ).nnz
         # a positive definite plate without the inertia factors only the odd mirror block
         system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (256, 64))
         reduced = apply_constraints(system, constraints)
@@ -897,13 +898,10 @@ class TestMirrorSplit:
                 np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
                 assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
                 assert solution.indefinite == (compute_inertia and past_threshold)
-            # the last solve, without the inertia
+            # the last solve, without the inertia: one block, by band
+            # Cholesky or, past the threshold, by the tiled LDL^T
             assert solution.inertia is None
-            if past_threshold:
-                # LAPACK rejects a block: the whole matrix, as the oracle factors it
-                assert solution.factor_nnz == factor_nnz
-            else:
-                assert solution.factor_nnz < 0.6 * factor_nnz
+            assert solution.factor_nnz < 0.6 * factor_nnz
 
     def test_random_load_excites_both_blocks(self, rng):
         reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRAIN, (32, 8)))
@@ -1026,12 +1024,27 @@ class TestBandCholesky:
             assert solution.inertia == inertia
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
-    def test_indefinite_systems_take_the_whole_factor(self, monkeypatch, kind):
+    def test_indefinite_blocks_need_no_sparse_lu(self, monkeypatch, kind):
+        # LAPACK's band Cholesky rejects the blocks of Born past its threshold;
+        # the tiled LDL^T factors them in the same band order
         reduced = apply_constraints(*loaded_case(kind, BORN, 0.45, PLANE_STRESS, (128, 32)))
+        u, factor_nnz = whole_factor_solve(reduced)
+        pivots = splu(
+            reduced.matrix.tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).U.diagonal()
+
+        inertia = (int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
 
         monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
-        with pytest.raises(AssertionError, match="sparse LU called"):
-            solve(reduced, compute_inertia=False)
+        for compute_inertia, expected in ((True, inertia), (False, None)):
+            solution = solve(reduced, compute_inertia=compute_inertia)
+            np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+            assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+            assert solution.factor_nnz < factor_nnz
+            assert solution.inertia == expected
 
     @pytest.mark.parametrize("model,nx,ny", [(BORN, 8, 8), (MODIFIED, 4, 2)])
     def test_singular_blocks_raise_from_their_band_pivots(self, monkeypatch, model, nx, ny):
@@ -1048,7 +1061,8 @@ class TestBandCholesky:
         "model,nx,ny", [(BORN, 2, 2), (BORN, 4, 2), (MODIFIED, 2, 2), (MODIFIED, 8, 8)]
     )
     def test_rejected_singular_blocks_fall_back_to_sparse_lu(self, monkeypatch, model, nx, ny):
-        # LAPACK meets a pivot that is not positive in a block
+        # LAPACK meets a pivot that is not positive in a block, and the
+        # tiled LDL^T a zero one
         mesh, system = make_system(nx, ny, StiffnessSet(model, 2.0, 1.0, 3.0))
         reduced = apply_constraints(system, UNSUPPORTED)
         monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
@@ -1059,8 +1073,8 @@ class TestBandCholesky:
         "model,nu,nx,ny",
         [(BORN, None, 2, 2), (BORN, None, 4, 2), (BORN, None, 8, 8)]
         + [(MODIFIED, None, 4, 2), (MODIFIED, None, 8, 8)]
-        # calibrated plane-stress cells: LAPACK rejects a block, and the
-        # whole factor's pivots hold the zero
+        # calibrated plane-stress cells: LAPACK rejects a block, its LDL^T
+        # meets the zero, and so do the whole factor's pivots
         + [(BORN, 0.3, 8, 8), (MODIFIED, 0.3, 2, 2), (MODIFIED, 0.3, 4, 2)]
         + [(MODIFIED, 0.3, 4, 4), (MODIFIED, 0.3, 8, 8), (MODIFIED, 0.3, 32, 32)]
         # odd ny, no mirror: the whole factor alone
@@ -1082,23 +1096,27 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(8, 2), (64, 16)], ids=["8x2", "64x16"])
-    def test_born_past_its_plane_strain_threshold_at_a_third_is_singular(self, kind, size):
-        # k_s1 < 0 at nu = 1/3 in plane strain: LAPACK rejects a block, and the
-        # whole LU's pivots, spanning over 20 decades, hold zeros
+    def test_born_past_its_plane_strain_threshold_at_a_third_is_indefinite(self, kind, size):
+        # k_s1 < 0 at nu = 1/3 in plane strain. The matrix is indefinite, not
+        # singular: min/max |eigenvalue| is 3.3e-4 on the 8x2 cantilever. The
+        # whole LU without interchanges grows its pivots to 3e23 against
+        # entries of 5e9, and read 1,526 of the 64x16 cantilever's as zero
         reduced = apply_constraints(*loaded_case(kind, BORN, 1.0 / 3.0, PLANE_STRAIN, size))
-        with pytest.raises(SingularSystemError, match="zero pivot") as info:
-            solve(reduced)
-        assert info.value.inertia[1] > 0
+        solution = solve(reduced)
+        assert solution.inertia == eigenvalue_inertia(reduced.matrix)
+        assert solution.indefinite and solution.inertia[1] == 0
+        assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(8, 2), (64, 16)], ids=["8x2", "64x16"])
-    def test_born_at_a_third_raises_without_the_inertia(self, kind, size):
-        # the load excites one block only, LAPACK rejects a block, and the
-        # whole LU's zero pivots raise though the inertia is not requested
+    def test_born_at_a_third_solves_without_the_inertia(self, monkeypatch, kind, size):
+        # the load excites one block only, which the tiled LDL^T factors
         reduced = apply_constraints(*loaded_case(kind, BORN, 1.0 / 3.0, PLANE_STRAIN, size))
-        with pytest.raises(SingularSystemError, match="zero pivot") as info:
-            solve(reduced, compute_inertia=False)
-        assert info.value.inertia is None
+        u = solve(reduced).u
+        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
+        solution = solve(reduced, compute_inertia=False)
+        assert solution.inertia is None
+        np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(256, 64), (512, 128)], ids=["256x64", "512x128"])
@@ -1151,6 +1169,53 @@ class TestBandCholesky:
             for d in range(u + 1):
                 np.testing.assert_array_equal(ab[u - d, d:], np.diagonal(block, d))
                 assert not np.any(ab[u - d, :d])
+
+
+def band_storage(dense):
+    """LAPACK's upper band storage of a dense symmetric matrix, u its half-bandwidth."""
+    n = dense.shape[0]
+    return gathered_band_storage(scipy.sparse.csr_matrix(dense), np.arange(n), np.zeros(n, bool))
+
+
+class TestBandLDLT:
+    """The tiled LDL^T of a symmetric band matrix, in tiles of u rows."""
+
+    @pytest.mark.parametrize(
+        "u,zero_diagonal",
+        [(0, False), (1, False), (3, False), (8, False), (2, True), (3, True), (8, True)],
+    )
+    def test_pivots_count_the_eigenvalues(self, rng, u, zero_diagonal):
+        # a zero diagonal leaves Bunch-Kaufman 2x2 pivots in the first tile,
+        # whose runs must be paired from their last row
+        for n in (u + 1, 2 * u + 2, 10 * u + 4, 60):
+            dense = rng.normal(size=(n, n))
+            dense = np.triu(np.tril(dense + dense.T, u), -u)
+            if zero_diagonal:
+                np.fill_diagonal(dense, 0.0)
+            ab = band_storage(dense)
+            apply, stored, pivots = _band_ldlt(ab)
+            assert _inertia(pivots) == eigenvalue_inertia(scipy.sparse.csr_matrix(dense)), n
+            rhs = rng.normal(size=n)
+            x = apply(rhs)
+            backward = np.linalg.norm(dense @ x - rhs) / (np.linalg.norm(dense) * np.linalg.norm(x))
+            assert backward <= 1e-12, n
+            # every tile keeps its factor and its coupling X_k = S_k^-1 C_k
+            b = max(ab.shape[0] - 1, 1)
+            tiles = [(min(b, n - r0), min(b, max(n - r0 - b, 0))) for r0 in range(0, n, b)]
+            assert stored == sum(m * (m + next_m) for m, next_m in tiles)
+
+    def test_an_exactly_zero_pivot_or_a_non_finite_value_gives_none(self):
+        dense = np.diag([2.0, 0.0, 3.0, 1.0]) + np.diag([0.0, 0.0, 1.0], 1)
+        dense += np.triu(dense, 1).T
+        assert _band_ldlt(band_storage(dense)) is None
+        # interchanges stay within a tile: 1x1 tiles of a zero diagonal are
+        # singular though the matrix (determinant 1) is not
+        dense = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+        assert np.linalg.det(dense) == 1.0
+        assert _band_ldlt(band_storage(dense)) is None
+        dense = np.eye(6)
+        dense[0, 0] = np.inf
+        assert _band_ldlt(band_storage(dense)) is None
 
 
 class TestConstrainedSpectrum:

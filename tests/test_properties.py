@@ -6,7 +6,8 @@ points: the assembled stiffness is bitwise symmetric, the unconstrained
 stiffness has exactly the rigid-body null space of its model, support
 reactions balance the applied loads, affine fields are exact on lattices
 of any cell size, placement and aspect ratio, and the inertia read from
-the solve's factor is the eigenvalue count.
+the solve's factor is the eigenvalue count, also where the mirror blocks
+of Born past its threshold take the tiled LDL^T over many tiles.
 """
 
 import numpy as np
@@ -14,9 +15,12 @@ import pytest
 
 from lsm2d import (
     BORN,
+    CANTILEVER,
     CASE_KINDS,
     MODELS,
     MODIFIED,
+    PLANE_STRESS,
+    PURE_BENDING,
     PURE_SHEAR,
     REGIMES,
     UNIAXIAL,
@@ -29,6 +33,7 @@ from lsm2d import (
     calibrate,
     case_constraints,
     case_loads,
+    case_mesh,
     cell_matrix,
     load_vector,
     make_case,
@@ -149,3 +154,26 @@ def test_factor_inertia_is_the_eigenvalue_count(rng, model, regime):
             indefinite += inertia[0] > 0
     # the sample reaches past the Born thresholds; the multi-bond cell stays definite
     assert (indefinite > 0) == (model == BORN)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_tiled_inertia_is_the_eigenvalue_count(rng, regime):
+    # Born past its threshold on the mirror-symmetric plates: LAPACK's band
+    # Cholesky rejects the blocks, and the tiled LDL^T factors each in tiles
+    # of half-bandwidth rows, 5 a block on 8x2 to 24 on 32x8; its 1x1 and
+    # 2x2 pivots must count the eigenvalues over every tile
+    threshold = 1.0 / 3.0 if regime == PLANE_STRESS else 0.25
+    for nx in (8, 16, 24, 32):
+        size = (nx, nx // 4)
+        for nu in rng.uniform(threshold + 0.01, 0.499, size=2):
+            for kind in (PURE_BENDING, CANTILEVER):
+                case = make_case(kind, nu, regime=regime, mesh_sizes=(size,))
+                mesh = case_mesh(case, size)
+                forces = load_vector(mesh, case_loads(case), case.material.thickness)
+                values = stencil_values(cell_matrix(calibrate(case.material, BORN)))
+                reduced = reduce_stencil(mesh, forces, case_constraints(case, mesh)).fill(values)
+                assert reduced.mirror is not None
+                solution = solve(reduced)
+                subject = (kind, size, nu)
+                assert solution.inertia == eigenvalue_inertia(reduced.matrix), subject
+                assert solution.indefinite, subject
