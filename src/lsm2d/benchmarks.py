@@ -344,6 +344,10 @@ class ErrorReport:
 
 
 def _relative_l2(num: np.ndarray, ref: np.ndarray) -> float:
+    # scaled by 2^-e, exactly, so that the largest |value| lies in [0.5, 1):
+    # the norms' squares then neither overflow nor underflow for any E
+    e = np.frexp(max(np.abs(num).max(initial=0.0), np.abs(ref).max(initial=0.0)))[1]
+    num, ref = np.ldexp(num, -e), np.ldexp(ref, -e)
     scale = float(np.linalg.norm(ref))
     diff = float(np.linalg.norm(num - ref))
     if scale == 0.0:
@@ -412,7 +416,8 @@ class Sweep:
     """Runs of one plate over its mesh ladder, one per (case, model).
 
     Attributes:
-        meshes: the lattice of each mesh size, shared by every run.
+        meshes: the lattice of each mesh size, shared by every run, as
+            is each mesh's reduced stencil with its band layouts.
         runs: per (case, model), in the order given, the per-mesh
             solutions (None where the solve failed) and the ErrorReport.
         timings: seconds spent in each of SWEEP_STAGES, summed over the
@@ -439,7 +444,10 @@ def sweep(runs: Sequence[tuple[BenchmarkCase, str]]) -> Sweep:
     regime, which change the cell matrix and the reference field but not
     the lattice. Each mesh, its loads, supports and reduced stencil are
     therefore built once; each run then costs one fill of the stiffness
-    values per mesh, a solve and the error evaluation.
+    values per mesh, a solve and the error evaluation. The systems one
+    stencil fills share its memo of band layouts, so the first solve that
+    factors a mirror block builds that block's layout and the other runs
+    only refill its band storage (see ``lattice._mirror_solver``).
 
     Solver failures (singular or irrecoverably ill-conditioned systems)
     are recorded per mesh rather than raised, since driving a model into

@@ -115,15 +115,17 @@ def _format_table(rows) -> str:
 def write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
     """Write a deterministic CSV with a '#' manifest block.
 
-    ``rows`` is a sequence of tuples or a 2-D array. Floats are written
-    with 17 significant digits, booleans as true/false and anything else
-    with ``str``.
+    ``rows`` is a sequence of tuples, a 2-D array, or the rows' text,
+    formatted already. Floats are written with 17 significant digits,
+    booleans as true/false and anything else with ``str``.
     """
+    if not isinstance(rows, str):
+        rows = _format_table(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
         for key, value in manifest.items():
             handle.write(f"# {key}={_format_value(value)}\n")
         handle.write(",".join(header) + "\n")
-        handle.write(_format_table(rows.tolist() if isinstance(rows, np.ndarray) else rows))
+        handle.write(rows)
 
 
 def load_config_file(path: Path, command: str) -> list[str]:
@@ -364,12 +366,56 @@ def cmd_eigen(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _field_rows(mesh, solution, field) -> np.ndarray:
-    ua, va = field(mesh.positions[:, 0], mesh.positions[:, 1])
-    # one float table: "%.17g" prints the particle index as an integer
-    return np.column_stack(
-        [np.arange(mesh.n_particles), mesh.positions, solution.displacements, ua, va]
-    )
+def _field_name(config: RunConfig, model: str, nu: float, mesh: lattice.Mesh) -> str:
+    return f"field_{config.case}_{model}_nu{nu:g}_{mesh.spec.nx}x{mesh.spec.ny}.csv"
+
+
+def _format_columns(*columns: np.ndarray) -> list[str]:
+    # each row's "%.17g" values, as _format_table prints a float column; a
+    # float particle index prints as an integer
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1])
+    return ((line + "\n") * table.shape[0] % tuple(table.ravel().tolist())).splitlines()
+
+
+def _write_fields(
+    config: RunConfig, runs: list[tuple[benchmarks.BenchmarkCase, str]], sweep: benchmarks.Sweep
+) -> None:
+    """Write every solved run's field CSV, formatting shared columns once.
+
+    particle, x and y depend on the mesh alone, u_analytical and
+    v_analytical on the mesh and nu, u and v on the run: each group is
+    formatted once and the lines join the three, as ``write_csv`` would
+    print the whole table. One mesh's strings are held at a time.
+    """
+    for m, mesh in enumerate(sweep.meshes):
+        points = _format_columns(np.arange(mesh.n_particles, dtype=float), mesh.positions)
+        analytical: dict[float, list[str]] = {}
+        for (case, model), (solutions, _) in zip(runs, sweep.runs):
+            if solutions[m] is None:
+                continue
+            nu = case.material.poisson_ratio
+            if nu not in analytical:
+                field = benchmarks.analytical_field(case)
+                analytical[nu] = _format_columns(*field(mesh.positions[:, 0], mesh.positions[:, 1]))
+            displacements = _format_columns(solutions[m].displacements)
+            manifest = _base_manifest(config)
+            manifest.update(
+                {
+                    "case": config.case,
+                    "model": model,
+                    "nu": format(nu, "g"),
+                    "mesh": f"{mesh.spec.nx}x{mesh.spec.ny}",
+                    "load": case.load,
+                }
+            )
+            rows = zip(points, displacements, analytical[nu])
+            write_csv(
+                config.out / _field_name(config, model, nu, mesh),
+                manifest,
+                ["particle", "x", "y", "u", "v", "u_analytical", "v_analytical"],
+                "".join([f"{p},{d},{a}\n" for p, d, a in rows]),
+            )
 
 
 def cmd_benchmark(config: RunConfig) -> int:
@@ -402,7 +448,6 @@ def cmd_benchmark(config: RunConfig) -> int:
     failures: list[str] = []
     for (case, model), (solutions, report) in zip(runs, sweep.runs):
         nu = case.material.poisson_ratio
-        field = benchmarks.analytical_field(case)
         for mesh, solution, mesh_error in zip(sweep.meshes, solutions, report.mesh_errors):
             nx, ny = mesh_error.mesh_size
             profile = mesh_error.profile_errors
@@ -430,24 +475,9 @@ def cmd_benchmark(config: RunConfig) -> int:
                     f"{config.case} {model} nu={nu:g} mesh {nx}x{ny}: {mesh_error.failure}"
                 )
             if write_fields and solution is not None:
-                name = f"field_{config.case}_{model}_nu{nu:g}_{nx}x{ny}.csv"
-                manifest = _base_manifest(config)
-                manifest.update(
-                    {
-                        "case": config.case,
-                        "model": model,
-                        "nu": format(nu, "g"),
-                        "mesh": f"{nx}x{ny}",
-                        "load": case.load,
-                    }
-                )
-                write_csv(
-                    config.out / name,
-                    manifest,
-                    ["particle", "x", "y", "u", "v", "u_analytical", "v_analytical"],
-                    _field_rows(mesh, solution, field),
-                )
-                files.append(name)
+                files.append(_field_name(config, model, nu, mesh))
+    if write_fields:
+        _write_fields(config, runs, sweep)
     table = "errors" if write_fields else "convergence"
     table_name = f"{table}_{config.case}.csv"
     manifest = _base_manifest(config)

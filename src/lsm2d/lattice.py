@@ -40,7 +40,7 @@ inertia.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -268,7 +268,12 @@ class ReducedSystem:
     set with the mirror and None without it, lists the reduced indices by
     lines of particles across the half-plate's shorter side (columns when
     2 nx >= ny, else rows), then along the line, then by component: the
-    order in which a mirror block is a narrow band.
+    order in which a mirror block is a narrow band. ``layouts`` maps a
+    mirror block's parity to its band layout (see ``_mirror_solver``): the
+    memo a ``ReducedStencil`` keeps, shared by every system its ``fill``
+    returns, as their matrices share its pattern. A system whose matrix has
+    another pattern must not carry it; without a memo (None) a solve builds
+    the layouts it needs and keeps none.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -279,6 +284,7 @@ class ReducedSystem:
     n_dofs: int
     mirror: np.ndarray | None = None
     band: np.ndarray | None = None
+    layouts: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.mirror is None) != (self.band is None):
@@ -576,7 +582,10 @@ class ReducedStencil:
     ``_lattice_stencil``); ``fill`` gives the ReducedSystem of one value
     table (see ``stencil_values``). ``coupling``, the slot pattern of the
     free rows and fixed columns, is kept for nonzero prescribed values
-    only, which ``fill`` moves to the right-hand side.
+    only, which ``fill`` moves to the right-hand side. With a mirror,
+    ``pattern.layouts`` is the memo of its blocks' band layouts, which
+    every system ``fill`` returns shares: a sweep over value tables builds
+    each block's layout once.
     """
 
     pattern: ReducedSystem
@@ -636,6 +645,7 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         n_dofs=n,
         mirror=mirror,
         band=band,
+        layouts=None if mirror is None else {},
     )
     return ReducedStencil(pattern, coupling)
 
@@ -656,19 +666,58 @@ def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
         raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
 
 
-_BAND_CHUNK = 8192  # rows per step of _band_storage: blocks up to 128x32 take one
+_BAND_CHUNK = 8192  # rows per step of _band_layout: blocks up to 128x32 take one
 
 
-def _band_storage(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np.ndarray):
-    """LAPACK's upper band storage ab[u + i - j, j] = a[i, j] of a = matrix[rows][:, rows].
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where one mirror block of a reduced matrix lies in LAPACK's upper band storage.
 
-    Entries between two axis DOFs are halved. The half-bandwidth u comes
-    from the pattern alone, read in chunks of ``_BAND_CHUNK`` rows. The
-    matrix is symmetric to the bit, so row k's entries left of the diagonal
-    are column k's above it: the block's rows, in chunks of the same size,
-    fill the Fortran-ordered storage a run of columns at a time. No
-    temporary outlives its chunk: at 512x128 this takes under 5 MiB beside
-    the 67 MiB storage.
+    ``rows`` are the block's reduced indices in band order, ``image`` their
+    mirror images and ``sign`` (int8) the factor of an image's value in the
+    folded field: 0 on the axis, else the parity of the DOF. Entry
+    ``entry[i]`` of the matrix's data lands at ``flat[i]`` of the
+    Fortran-ordered (u + 1, rows.size) storage, and the entries at
+    ``halved``, between two axis DOFs, count half. Every index depends on
+    the pattern alone, so one layout serves every matrix of a stencil.
+    """
+
+    rows: np.ndarray
+    image: np.ndarray
+    sign: np.ndarray
+    u: int
+    flat: np.ndarray
+    entry: np.ndarray
+    halved: np.ndarray
+
+    def storage(self, data: np.ndarray) -> np.ndarray:
+        """The block's band storage ab[u + i - j, j] = a[i, j] for the matrix data ``data``.
+
+        A refill: at 512x128 it takes 1 MiB beside the 67 MiB storage.
+        """
+        ab = np.zeros((self.u + 1, self.rows.size), order="F")
+        flat = ab.ravel(order="K")
+        # about a chunk's entries at a time: the scatter copies its positions as intp
+        step = 8 * _BAND_CHUNK
+        for i in range(0, self.flat.size, step):
+            # np.take casts int32 indices faster than []
+            flat[self.flat[i : i + step]] = np.take(data, self.entry[i : i + step])
+        flat[self.halved] *= 0.5
+        return ab
+
+
+def _band_layout(
+    matrix: scipy.sparse.csr_matrix, rows: np.ndarray, image: np.ndarray, sign: np.ndarray
+) -> tuple[_BandLayout, np.ndarray]:
+    """The band layout of the block ``matrix[rows][:, rows]``, and the block's band storage.
+
+    The half-bandwidth u comes from the pattern alone, read in chunks of
+    ``_BAND_CHUNK`` rows. The matrix is symmetric to the bit, so row k's
+    entries left of the diagonal are column k's above it: the block's rows,
+    in chunks of the same size, give each such entry's flat position in the
+    Fortran-ordered storage and fill it, a run of columns at a time. No
+    temporary outlives its chunk: at 512x128 this takes 3.5 MiB beside the
+    67 MiB storage and the layout's 4.7 MiB of positions.
     """
     n, indptr = rows.size, matrix.indptr
     position = np.full(matrix.shape[1], n, dtype=matrix.indices.dtype)  # n: outside the block
@@ -682,18 +731,31 @@ def _band_storage(matrix: scipy.sparse.csr_matrix, rows: np.ndarray, on_axis: np
         k = position[r0 : r0 + _BAND_CHUNK]
         u = max(u, int(np.max(k - leftmost, where=k < n, initial=0)))
     ab = np.zeros((u + 1, n), order="F")
-    flat = ab.ravel(order="K")  # ab[u + j - k, k] is flat[(u + 1) k + u + j - k]
+    storage = ab.ravel(order="K")  # ab[u + j - k, k] is storage[(u + 1) k + u + j - k]
+    index = np.int32 if ab.size < 2**31 else np.int64
+    on_axis, flats, entries, halved = sign == 0, [], [], []
     for k0 in range(0, n, _BAND_CHUNK):
-        block = matrix[rows[k0 : k0 + _BAND_CHUNK]]
-        k = np.arange(k0, k0 + block.shape[0], dtype=position.dtype).repeat(np.diff(block.indptr))
-        j = np.take(position, block.indices)  # np.take casts int32 indices faster than []
-        lower = j <= k  # drops the columns outside the block too
-        k, j, data = k[lower], j[lower], block.data[lower]
-        del block, lower
-        data[on_axis[k] & on_axis[j]] *= 0.5
-        flat[u * k.astype(np.intp) + (j + u)] = data
-        del k, j, data  # freed before the next chunk is gathered
-    return ab
+        chunk = rows[k0 : k0 + _BAND_CHUNK]
+        starts, counts = indptr[chunk], indptr[chunk + 1] - indptr[chunk]
+        # the chunk's CSR entries, row by row
+        entry = np.arange(counts.sum(), dtype=indptr.dtype)
+        entry += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        k = np.arange(k0, k0 + chunk.size, dtype=index).repeat(counts)
+        j = np.take(position, np.take(matrix.indices, entry)).astype(index, copy=False)
+        # drops the columns outside the block too; np.take outruns a boolean mask here
+        lower = np.flatnonzero(j <= k)
+        entry, k, j = (np.take(a, lower) for a in (entry, k, j))
+        flat = u * k + (j + u)
+        storage[flat] = np.take(matrix.data, entry)
+        halved.append(flat[np.take(on_axis, k) & np.take(on_axis, j)])
+        storage[halved[-1]] *= 0.5
+        flats.append(flat)
+        entries.append(entry)
+        del k, j, lower  # freed before the next chunk is gathered
+    flat = np.concatenate(flats)
+    del flats  # freed before the entries are joined
+    entry, halved = np.concatenate(entries), np.concatenate(halved)
+    return _BandLayout(rows, image, sign, u, flat, entry, halved), ab
 
 
 def _band_ldlt(ab: np.ndarray):
@@ -753,6 +815,16 @@ def _band_ldlt(ab: np.ndarray):
     return apply, sum(ldu.size + x.size for _, _, ldu, _, x in tiles), diagonal
 
 
+def _mirror_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, images and signs of the mirror block of parity s (see ``_BandLayout``)."""
+    mirror, free = reduced.mirror, reduced.free
+    axis = mirror == np.arange(mirror.size)
+    parity = np.where(free % 2, -s, s).astype(np.int8)
+    rows = reduced.band[((free[mirror] > free) | axis & (parity > 0))[reduced.band]]
+    # zero on the axis, where the fold halves the load and the unfold adds nothing
+    return rows, mirror[rows], np.where(axis[rows], 0, parity[rows]).astype(np.int8)
+
+
 def _mirror_solver(
     reduced: ReducedSystem, full: bool
 ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, np.ndarray]:
@@ -764,32 +836,40 @@ def _mirror_solver(
     DOFs, axis-axis entries halved, and in ``band`` order it is a band
     matrix. Every block is factored, or only those the right-hand side
     excites: by LAPACK's band Cholesky or, where that meets a pivot that is
-    not positive, by the tiled LDL^T (``_band_ldlt``) of the block gathered
-    again. The solver comes with the values its factors store and the
-    pivots (squared diagonals of a Cholesky factor, D's eigenvalues of an
-    LDL^T) of every factor completed; those of all blocks give the inertia,
-    as the blocks together are congruent to the reduced matrix. It is None
+    not positive, by the tiled LDL^T (``_band_ldlt``) of the block filled
+    again. A block's band layout (``_BandLayout``) is built on the first
+    solve that factors it, by the pass that fills its first band storage,
+    and kept in ``reduced.layouts``, the memo every system filled from one
+    ``ReducedStencil`` shares: their later solves only fill the storage.
+    The solver comes with the values its factors store and the pivots
+    (squared diagonals of a Cholesky factor, D's eigenvalues of an LDL^T)
+    of every factor completed; those of all blocks give the inertia, as
+    the blocks together are congruent to the reduced matrix. It is None
     when an LDL^T fails or its pivots hold a zero (see ``_inertia``).
     """
-    mirror, free, band = reduced.mirror, reduced.free, reduced.band
-    axis = mirror == np.arange(mirror.size)
+    data = reduced.matrix.data
+    layouts = {} if reduced.layouts is None else reduced.layouts
     blocks, stored, pivots, indefinite = [], 0, np.empty(0), False
-    for s in (1.0, -1.0):
-        parity = np.where(free % 2, -s, s)
-        rows = band[((free[mirror] > free) | axis & (parity > 0))[band]]
-        image = mirror[rows]
-        # zero on the axis, where the fold halves the load and the unfold adds nothing
-        sign = np.where(axis[rows], 0.0, parity[rows])
+    for s in (1, -1):
+        layout = layouts.get(s)
+        if layout is None:
+            rows, image, sign = _mirror_block(reduced, s)
+        else:
+            rows, image, sign = layout.rows, layout.image, layout.sign
         if not (full or np.any(reduced.rhs[rows] + sign * reduced.rhs[image])):
             continue
-        ab = _band_storage(reduced.matrix, rows, axis[rows])
+        if layout is None:
+            layout, ab = _band_layout(reduced.matrix, rows, image, sign)
+            layouts[s] = layout
+        else:
+            ab = layout.storage(data)
         try:
             factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
             solve_block = partial(cho_solve_banded, (factor, False), check_finite=False)
             size, block_pivots = factor.size, factor[-1] ** 2
         except LinAlgError:
-            del ab  # overwritten by the failed factor: gathered again
-            ldlt = _band_ldlt(_band_storage(reduced.matrix, rows, axis[rows]))
+            del ab  # overwritten by the failed factor: filled again
+            ldlt = _band_ldlt(layout.storage(data))
             if ldlt is None:
                 return None, stored, pivots
             (solve_block, size, block_pivots), indefinite = ldlt, True

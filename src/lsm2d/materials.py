@@ -19,6 +19,7 @@ instability beyond those values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 BORN = "born"
@@ -47,12 +48,15 @@ class Material:
     regime: str = PLANE_STRESS
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.young_modulus) and self.young_modulus > 0.0):
+        # a subnormal value has lost precision already, and its products underflow
+        if not (math.isfinite(self.young_modulus) and self.young_modulus >= sys.float_info.min):
             raise ValueError(
-                f"young_modulus must be positive and finite, got {self.young_modulus}"
+                f"young_modulus must be positive, normal and finite, got {self.young_modulus}"
             )
-        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
-            raise ValueError(f"thickness must be positive and finite, got {self.thickness}")
+        if not (math.isfinite(self.thickness) and self.thickness >= sys.float_info.min):
+            raise ValueError(
+                f"thickness must be positive, normal and finite, got {self.thickness}"
+            )
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError(
                 f"poisson_ratio must lie in [0, 0.5), got {self.poisson_ratio}"

@@ -312,6 +312,18 @@ def sliced_reduction(stiffness, free: np.ndarray) -> scipy.sparse.csr_matrix:
     return stiffness.tocsr()[free][:, free].tocsr()
 
 
+def field_rows(mesh, solution, field) -> np.ndarray:
+    """A field CSV's rows as one float table, formatted per run by ``write_csv``.
+
+    Columns particle, x, y, u, v, u_analytical, v_analytical; "%.17g" prints
+    the particle index as an integer.
+    """
+    ua, va = field(mesh.positions[:, 0], mesh.positions[:, 1])
+    return np.column_stack(
+        [np.arange(mesh.n_particles), mesh.positions, solution.displacements, ua, va]
+    )
+
+
 def csv_cell(value) -> str:
     """Text of one CSV value, formatted on its own."""
     if isinstance(value, float):

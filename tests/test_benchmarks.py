@@ -33,6 +33,7 @@ from lsm2d import (
     run_case,
     sweep,
 )
+from lsm2d.benchmarks import _relative_l2
 from oracles import plane_stress_field_stresses
 
 
@@ -275,6 +276,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([(make_case(UNIAXIAL, 0.3), BORN), (make_case(PURE_SHEAR, 0.3), BORN)])
         assert sweep([]).runs == ()
+
+
+@pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+def test_relative_l2_keeps_its_bits_under_any_power_of_two(rng, power):
+    # squared, these values overflow or underflow; scaled back first, they do not
+    ref = rng.normal(size=(50, 2))
+    num = ref + 1e-3 * rng.normal(size=ref.shape)
+    expected = _relative_l2(num, ref)
+    assert _relative_l2(np.ldexp(num, power), np.ldexp(ref, power)) == expected
+    assert _relative_l2(np.zeros(3), np.zeros(3)) == 0.0
 
 
 class TestAffineExactness:

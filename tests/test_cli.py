@@ -16,6 +16,7 @@ from lsm2d import (
     MODELS,
     MODIFIED,
     PURE_BENDING,
+    PURE_SHEAR,
     UNIAXIAL,
     Constraints,
     LatticeSpec,
@@ -23,9 +24,11 @@ from lsm2d import (
     SingularSystemError,
     apply_constraints,
     assemble,
+    analytical_field,
     build_mesh,
     calibrate,
     case_constraints,
+    case_mesh,
     cell_matrix,
     make_case,
     run_case,
@@ -33,7 +36,7 @@ from lsm2d import (
 from lsm2d import cell as cell_module
 from lsm2d import lattice as lattice_module
 from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, write_csv
-from oracles import constrained_spectrum, csv_cell
+from oracles import constrained_spectrum, csv_cell, field_rows
 
 
 def read_table(path):
@@ -430,6 +433,55 @@ class TestSweep:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
         assert manifest["files"] == fields + ["errors_bending.csv"]
 
+    # the bending plate's u_analytical holds -0; the shear plate, factored by
+    # the sparse LU, has v_analytical 0 throughout
+    @pytest.mark.parametrize(
+        "name,kind,meshes",
+        [("bending", PURE_BENDING, "8x2,16x4"), ("shear", PURE_SHEAR, "2x2,4x4")],
+    )
+    def test_field_files_equal_the_per_run_formatter(self, tmp_path, name, kind, meshes):
+        out = tmp_path / "cli"
+        argv = ["benchmark", "--out", str(out), "--case", name, "--nu", "0.3,0.45"]
+        assert main(argv + ["--mesh", meshes]) == 0
+        sizes = tuple(tuple(int(n) for n in size.split("x")) for size in meshes.split(","))
+        columns = {"u_analytical": set(), "v_analytical": set()}
+        for model in MODELS:
+            for nu in (0.3, 0.45):
+                case = make_case(kind, nu, mesh_sizes=sizes)
+                solutions, _ = run_case(case, model)
+                for (nx, ny), solution in zip(sizes, solutions):
+                    path = out / f"field_{name}_{model}_nu{nu:g}_{nx}x{ny}.csv"
+                    text = path.read_text(encoding="utf-8")
+                    comments = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+                    manifest = dict(line.split("=", 1) for line in comments)
+                    header, rows = read_table(path)
+                    for column, values in columns.items():
+                        values.update(row[column] for row in rows)
+                    oracle = tmp_path / "oracle.csv"
+                    mesh = case_mesh(case, (nx, ny))
+                    table = field_rows(mesh, solution, analytical_field(case))
+                    write_csv(oracle, manifest, header, table)
+                    assert path.read_bytes() == oracle.read_bytes(), path.name
+        assert len(list(out.glob("field_*.csv"))) == len(MODELS) * 2 * len(sizes)
+        if kind == PURE_BENDING:
+            assert "-0" in columns["u_analytical"]
+        else:
+            assert columns["v_analytical"] == {"0"}
+
+    @pytest.mark.parametrize("E", ["1e-200", "1e200"])
+    def test_error_columns_hold_for_any_modulus(self, tmp_path, E):
+        # the displacements scale as 1 / E: their squares once overflowed to
+        # nan at 1e-200 and underflowed to an error of 0 at 1e200
+        argv = ["benchmark", "--case", "cantilever", "--model", "modified", "--nu", "0.3"]
+        argv += ["--mesh", "8x2,16x4"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--E", E, "--out", str(tmp_path / "scaled")]) == 0
+        _, expected = read_table(tmp_path / "default" / "errors_cantilever.csv")
+        _, rows = read_table(tmp_path / "scaled" / "errors_cantilever.csv")
+        for row, reference in zip(rows, expected):
+            for column in ("rel_l2", "edge_u", "axis_v"):
+                assert float(row[column]) == pytest.approx(float(reference[column]), rel=1e-9)
+
     @pytest.mark.parametrize("command", ["benchmark", "convergence"])
     def test_manifest_reports_stage_timings(self, tmp_path, command):
         assert main(
@@ -648,6 +700,15 @@ class TestExitCodes:
     def test_non_finite_flags_rejected(self, tmp_path, argv):
         assert main(["calibrate", "--out", str(tmp_path)] + argv) == 2
         assert not (tmp_path / "calibration.csv").exists()
+
+    # subnormal: --E 1e-320 once failed to solve (exit 3), --thickness 1e-320
+    # solved to the wrong error
+    @pytest.mark.parametrize("argv", [["--E", "1e-320"], ["--thickness", "1e-320"]])
+    def test_subnormal_material_rejected(self, tmp_path, argv, capsys):
+        base = ["benchmark", "--case", "cantilever", "--model", "modified", "--nu", "0.3"]
+        assert main(base + ["--mesh", "8x2", "--out", str(tmp_path)] + argv) == 2
+        assert "normal" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_non_finite_config_value_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """Mesh, assembly, load lumping, constraint and solver tests."""
 
+import collections
 import dataclasses
 import tracemalloc
 
@@ -43,7 +44,14 @@ from lsm2d import (
     solve,
     stencil_values,
 )
-from lsm2d.lattice import _band_ldlt, _band_storage, _grid_mirror, _inertia, _nested_dissection
+from lsm2d.lattice import (
+    _band_layout,
+    _band_ldlt,
+    _grid_mirror,
+    _inertia,
+    _mirror_block,
+    _nested_dissection,
+)
 from oracles import (
     constrained_spectrum,
     coo_assembly,
@@ -944,6 +952,11 @@ def block_rows(reduced, s):
     return reduced.band[in_block[reduced.band]]
 
 
+def block_layout(reduced, s):
+    """The band layout of the mirror block of parity s, and the storage its build fills."""
+    return _band_layout(reduced.matrix, *_mirror_block(reduced, s))
+
+
 def no_splu(*args, **kwargs):
     raise AssertionError("sparse LU called")
 
@@ -1121,16 +1134,23 @@ class TestBandCholesky:
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(256, 64), (512, 128)], ids=["256x64", "512x128"])
     def test_band_storage_matches_the_gathered_block(self, kind, size):
-        # many chunks at 512x128; the dense check below cannot reach these sizes
+        # many chunks at 512x128; the dense check below cannot reach these sizes.
+        # The first model's storage comes from the layout's build, the second's
+        # from a refill of the same layout
         system, constraints = loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size)
         stencil = reduce_stencil(system.mesh, system.forces, constraints)
+        layouts = {}
         for model in lsm2d.MODELS:
             stiffness = calibrate(Material(2e11, 0.3, 0.01), model)
             reduced = stencil.fill(stencil_values(cell_matrix(stiffness)))
             axis = reduced.mirror == np.arange(reduced.free.size)
-            for s in (1.0, -1.0):
+            for s in (1, -1):
                 rows = block_rows(reduced, s)
-                ab = _band_storage(reduced.matrix, rows, axis[rows])
+                if s in layouts:
+                    ab = layouts[s].storage(reduced.matrix.data)
+                else:
+                    layouts[s], ab = block_layout(reduced, s)
+                np.testing.assert_array_equal(layouts[s].rows, rows)
                 expected = gathered_band_storage(reduced.matrix, rows, axis[rows])
                 assert ab.flags.f_contiguous and ab.shape == expected.shape
                 assert np.array_equal(ab, expected)
@@ -1139,17 +1159,25 @@ class TestBandCholesky:
         # numpy reports its buffers to tracemalloc; gathering the block's rows
         # at once peaked 12.5 MiB above the 67 MiB band
         reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (512, 128)))
-        axis = reduced.mirror == np.arange(reduced.free.size)
-        rows = block_rows(reduced, -1.0)
-        on_axis = axis[rows]
+        block = _mirror_block(reduced, -1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ab = _band_storage(reduced.matrix, rows, on_axis)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            layout, ab = _band_layout(reduced.matrix, *block)
+            build_peak = tracemalloc.get_traced_memory()[1] - before
+            del ab
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ab = layout.storage(reduced.matrix.data)
+            refill_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak - ab.nbytes <= 0.1 * ab.nbytes
+        built = sum(a.nbytes for a in (layout.flat, layout.entry, layout.halved))
+        size = built + sum(a.nbytes for a in block)
+        # the build keeps its layout and takes little beside it and the storage
+        assert build_peak - ab.nbytes - built <= 0.1 * ab.nbytes
+        assert size <= 0.1 * ab.nbytes
+        assert refill_peak - ab.nbytes <= 0.1 * ab.nbytes
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("model", lsm2d.MODELS)
@@ -1157,11 +1185,11 @@ class TestBandCholesky:
     def test_band_storage_holds_the_folded_block(self, kind, model, size):
         reduced = apply_constraints(*loaded_case(kind, model, 0.3, PLANE_STRESS, size))
         axis = reduced.mirror == np.arange(reduced.free.size)
-        for s in (1.0, -1.0):
+        for s in (1, -1):
             rows = block_rows(reduced, s)
             block = reduced.matrix.toarray()[np.ix_(rows, rows)]
             block[np.ix_(axis[rows], axis[rows])] *= 0.5
-            ab = _band_storage(reduced.matrix, rows, axis[rows])
+            ab = block_layout(reduced, s)[1]
             u = ab.shape[0] - 1
             assert ab.shape[1] == rows.size and ab.flags.f_contiguous
             # ab[u - d, j] holds the entry (j - d, j) of the d-th superdiagonal
@@ -1169,6 +1197,86 @@ class TestBandCholesky:
             for d in range(u + 1):
                 np.testing.assert_array_equal(ab[u - d, d:], np.diagonal(block, d))
                 assert not np.any(ab[u - d, :d])
+
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("size", [(8, 2), (16, 4), (32, 8), (64, 16)])
+    def test_every_factored_storage_is_the_gathered_block(self, monkeypatch, kind, regime, size):
+        # four systems share one stencil: the first solve builds each block's
+        # layout, the others refill it, and a block Cholesky rejects (Born at
+        # 0.45, and at 0.3 in plane strain) is filled again for the LDL^T
+        factored = []
+        cholesky, ldlt = lsm2d.lattice.cholesky_banded, lsm2d.lattice._band_ldlt
+
+        def record(factor, name):
+            def call(ab, **kwargs):
+                factored.append((name, ab.copy(order="A")))
+                return factor(ab, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(lsm2d.lattice, "cholesky_banded", record(cholesky, "cholesky"))
+        monkeypatch.setattr(lsm2d.lattice, "_band_ldlt", record(ldlt, "ldlt"))
+        system, constraints = loaded_case(kind, MODIFIED, 0.3, regime, size)
+        stencil = reduce_stencil(system.mesh, system.forces, constraints)
+        for model in lsm2d.MODELS:
+            for nu in (0.3, 0.45):
+                stiffness = calibrate(Material(2e11, nu, 0.01, regime), model)
+                reduced = stencil.fill(stencil_values(cell_matrix(stiffness)))
+                axis = reduced.mirror == np.arange(reduced.free.size)
+                factored.clear()
+                solve(reduced)
+                blocks = iter((1, -1))
+                for name, ab in factored:
+                    # an LDL^T factors the block whose Cholesky failed just before
+                    s = next(blocks) if name == "cholesky" else s
+                    rows = block_rows(reduced, s)
+                    expected = gathered_band_storage(reduced.matrix, rows, axis[rows])
+                    assert ab.flags.f_contiguous and np.array_equal(ab, expected), (model, nu, s)
+                assert [name for name, _ in factored].count("cholesky") == 2
+                past_threshold = model == BORN and (nu == 0.45 or regime == PLANE_STRAIN)
+                assert ("ldlt" in dict(factored)) == past_threshold
+        assert set(reduced.layouts) == {1, -1}
+
+    def test_a_sweep_builds_each_block_layout_once_per_mesh(self, monkeypatch):
+        built = []
+
+        def counted(matrix, *block):
+            built.append(matrix.shape[0])
+            return build(matrix, *block)
+
+        build = lsm2d.lattice._band_layout
+        monkeypatch.setattr(lsm2d.lattice, "_band_layout", counted)
+        nus = (0.0, 0.3, 0.49)
+        runs = [(lsm2d.make_case(CANTILEVER, nu), model) for model in lsm2d.MODELS for nu in nus]
+        sweep = lsm2d.sweep(runs)
+        assert len(sweep.meshes) == len(lsm2d.SLENDER_MESHES)
+        assert all(None not in solutions for solutions, _ in sweep.runs)
+        # one build per block of each mesh's stencil, whose free DOF counts differ
+        assert collections.Counter(built) == dict.fromkeys(set(built), 2)
+        assert len(set(built)) == len(lsm2d.SLENDER_MESHES)
+
+    def test_a_system_without_a_memo_solves_alike(self):
+        # Born at 0.45: Cholesky rejects both blocks, and the LDL^T factors refills
+        reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (16, 4)))
+        by_hand = lsm2d.ReducedSystem(
+            matrix=reduced.matrix,
+            rhs=reduced.rhs,
+            free=reduced.free,
+            fixed=reduced.fixed,
+            fixed_values=reduced.fixed_values,
+            n_dofs=reduced.n_dofs,
+            mirror=reduced.mirror,
+            band=reduced.band,
+        )
+        for compute_inertia in (True, False, True):
+            expected = solve(reduced, compute_inertia=compute_inertia)
+            solution = solve(by_hand, compute_inertia=compute_inertia)
+            assert np.array_equal(solution.u, expected.u)
+            assert solution.inertia == expected.inertia
+            assert solution.indefinite == expected.indefinite == compute_inertia
+            assert solution.factor_nnz == expected.factor_nnz
+        assert by_hand.layouts is None and set(reduced.layouts) == {1, -1}
 
 
 def band_storage(dense):

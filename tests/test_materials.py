@@ -48,6 +48,16 @@ class TestMaterialValidation:
         with pytest.raises(ValueError):
             Material(young_modulus=1.0, poisson_ratio=0.3, thickness=value)
 
+    @pytest.mark.parametrize("value", [5e-324, 1e-320, 2.2250738585072009e-308])
+    def test_rejects_subnormal_modulus_and_thickness(self, value):
+        with pytest.raises(ValueError, match="normal"):
+            Material(young_modulus=value, poisson_ratio=0.3, thickness=1.0)
+        with pytest.raises(ValueError, match="normal"):
+            Material(young_modulus=1.0, poisson_ratio=0.3, thickness=value)
+        # the smallest normal value passes
+        smallest = 2.2250738585072014e-308
+        Material(young_modulus=smallest, poisson_ratio=0.3, thickness=smallest)
+
     def test_rejects_poisson_ratio_outside_range(self):
         with pytest.raises(ValueError):
             Material(young_modulus=1.0, poisson_ratio=-0.01, thickness=1.0)
