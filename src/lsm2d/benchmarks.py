@@ -446,8 +446,8 @@ def sweep(runs: Sequence[tuple[BenchmarkCase, str]]) -> Sweep:
     therefore built once; each run then costs one fill of the stiffness
     values per mesh, a solve and the error evaluation. The systems one
     stencil fills share its memo of band layouts, so the first solve that
-    factors a mirror block builds that block's layout and the other runs
-    only refill its band storage (see ``lattice._mirror_solver``).
+    factors a block builds that block's layout and the other runs only
+    refill its band storage (see ``lattice._band_solver``).
 
     Solver failures (singular or irrecoverably ill-conditioned systems)
     are recorded per mesh rather than raised, since driving a model into

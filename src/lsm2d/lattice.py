@@ -20,22 +20,18 @@ elimination does this, for any supports, and it runs on the slot pattern
 (``reduce_stencil``): each value table then fills only the reduced matrix
 and moves nonzero prescribed displacements to the right-hand side, so a
 sweep over materials and bond models eliminates once per mesh, and no
-solve gathers the global matrix. The free DOFs come out in geometric
-nested-dissection order: one row or column of particles separates the
-grid, so the order follows from nx and ny alone, and the reduced matrix
-is factored as given, with no further ordering. The solver reports the
-inertia (negative pivot count) of the reduced matrix because intentionally
-indefinite systems are part of the workflow: they factorize and solve, but
-the result must carry an instability flag. A plate mirror-symmetric about
-its axis, supports included, splits into two half-height blocks. Each is a
-half-plate, so in the order of its lines of particles across the shorter
-side it is a narrow band, factored by LAPACK's band Cholesky, or by a tiled
-LDL^T where it is not positive definite: both blocks for the inertia or a
-zero load, else only the blocks the load excites. A system without a
-mirror, or with a block whose LDL^T meets a zero pivot, is factored whole
-by the sparse LU as given. One rule reads the pivots of whichever
-factorization ran: a zero among them raises, and their signs are the
-inertia.
+solve gathers the global matrix. The solver reports the inertia (negative
+pivot count) of the reduced matrix because intentionally indefinite systems
+are part of the workflow: they factorize and solve, but the result must
+carry an instability flag. The free DOFs come out by lines of particles
+across the shorter side of the block to be factored, in whose order it is a
+narrow band. A plate mirror-symmetric about its axis, supports included,
+splits into two half-height blocks; any other system is one block, its
+whole reduced matrix. Each block is factored by LAPACK's band Cholesky, or
+by a tiled LDL^T where it is not positive definite: every block for the
+inertia or a zero load, else only the blocks the load excites. One rule
+reads the pivots of the factors: a zero among them raises, and their signs
+are the inertia.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import scipy.sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import dsymm
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri, dsytrs
-from scipy.sparse.linalg import SuperLU, splu
 
 from .cell import _POSITIONS
 
@@ -67,9 +62,10 @@ def _is_integer(value) -> bool:
 class SingularSystemError(RuntimeError):
     """Reduced system is singular or could not be solved to the required residual.
 
-    A zero pivot, of the band factors or of the sparse LU, raises it (see
-    ``solve``). ``inertia`` is read from the failed factorization's pivots;
-    None if not requested, if the LU interchanged rows or if splu raised.
+    A zero pivot of the band factors raises it (see ``solve``). ``inertia``
+    is read from the failed factorization's pivots; None if not requested or
+    if a tiled LDL^T failed, on an exactly zero pivot or a value that is not
+    finite.
     """
 
     def __init__(self, message: str, inertia: tuple[int, int, int] | None = None):
@@ -264,16 +260,14 @@ class ReducedSystem:
 
     ``free`` maps reduced indices back to global DOFs, and ``mirror`` to
     those of their images if the supports are zero and mirror-symmetric
-    too; ``fixed`` and ``fixed_values`` keep the eliminated data. ``band``,
-    set with the mirror and None without it, lists the reduced indices by
-    lines of particles across the half-plate's shorter side (columns when
-    2 nx >= ny, else rows), then along the line, then by component: the
-    order in which a mirror block is a narrow band. ``layouts`` maps a
-    mirror block's parity to its band layout (see ``_mirror_solver``): the
-    memo a ``ReducedStencil`` keeps, shared by every system its ``fill``
-    returns, as their matrices share its pattern. A system whose matrix has
-    another pattern must not carry it; without a memo (None) a solve builds
-    the layouts it needs and keeps none.
+    too; ``fixed`` and ``fixed_values`` keep the eliminated data. A system
+    built from a stencil lists its free DOFs by lines of particles across
+    the shorter side of the block it is factored in (see ``_line_order``).
+    ``layouts`` maps a block's parity to its band layout (see
+    ``_band_solver``): the memo a ``ReducedStencil`` keeps, shared by every
+    system its ``fill`` returns, as their matrices share its pattern. A
+    system whose matrix has another pattern must not carry it; without a
+    memo (None) a solve builds the layouts it needs and keeps none.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -283,12 +277,7 @@ class ReducedSystem:
     fixed_values: np.ndarray
     n_dofs: int
     mirror: np.ndarray | None = None
-    band: np.ndarray | None = None
     layouts: dict | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if (self.mirror is None) != (self.band is None):
-            raise ValueError("a reduced system carries its mirror and band order together")
 
 
 @dataclass(frozen=True)
@@ -299,14 +288,14 @@ class Solution:
         u: full DOF vector in m, prescribed values re-inserted.
         residual: ||K u - rhs|| of the reduced solve, in N.
         inertia: (negative, zero, positive) pivot counts of the reduced
-            matrix, or None when not computed or when the factor pivoted
-            off the diagonal. A returned solution has no zero pivot among
-            those read.
+            matrix, or None when not computed. A returned solution has no
+            zero pivot among those read.
         indefinite: True when the reduced matrix has negative pivots.
-        factor_nnz: values the factors computed store, summed: nnz(L+U) for
-            a sparse LU, (half-bandwidth + 1) x size for a band Cholesky,
-            and for a tiled LDL^T each tile's factor and its coupling to
-            the next tile, b x b each in tiles of b = half-bandwidth rows.
+        factor_nnz: values the band factors computed store, summed:
+            (half-bandwidth + 1) x size for a band Cholesky, and for a tiled
+            LDL^T each tile's factor and its coupling to the next tile,
+            b x b each in tiles of b = half-bandwidth rows (one more below
+            2).
     """
 
     u: np.ndarray
@@ -334,41 +323,6 @@ def build_mesh(spec: LatticeSpec) -> Mesh:
     a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     cells = a[:, None] + _POSITIONS[:, 0] + (nx + 1) * _POSITIONS[:, 1]
     return Mesh(spec=spec, positions=positions, cells=cells)
-
-
-def _dissect(rows: int, cols: int, width: int, orders: dict) -> np.ndarray:
-    # module level on purpose: a recursive closure is a reference cycle,
-    # which keeps its orders alive until the cyclic collector runs
-    if (rows, cols) not in orders:
-        if max(rows, cols) < 3:
-            order = (np.arange(rows)[:, None] * width + np.arange(cols)).ravel()
-        elif cols >= rows:
-            half = cols // 2
-            first = _dissect(rows, half, width, orders)
-            second = _dissect(rows, cols - half - 1, width, orders) + (half + 1)
-            order = np.concatenate([first, second, np.arange(rows) * width + half])
-        else:
-            half = rows // 2
-            first = _dissect(half, cols, width, orders)
-            second = _dissect(rows - half - 1, cols, width, orders) + (half + 1) * width
-            order = np.concatenate([first, second, half * width + np.arange(cols)])
-        orders[rows, cols] = order
-    return orders[rows, cols]
-
-
-def _nested_dissection(nx: int, ny: int) -> np.ndarray:
-    """DOF order of an (nx+1) x (ny+1) particle grid by nested dissection.
-
-    Every bond joins adjacent particle rows or columns, so one full row or
-    column of particles separates the grid. Each block is split at the
-    middle line of its longer side; the two halves are numbered first and
-    the separator last, down to blocks whose sides hold fewer than 3
-    particles. A particle's x and y DOFs stay adjacent. A block's order, from
-    its lower-left particle, depends on its shape alone, and each level of
-    the recursion has at most two shapes: each is ordered once.
-    """
-    particles = _dissect(ny + 1, nx + 1, nx + 1, {})
-    return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
 def _lattice_stencil(nx: int, ny: int) -> scipy.sparse.csr_matrix:
@@ -448,15 +402,16 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
     return values.ravel()
 
 
-def _line_order(nx: int, ny: int) -> np.ndarray:
-    """DOF order by lines of particles across the half-plate's shorter side.
+def _line_order(nx: int, ny: int, height: int) -> np.ndarray:
+    """DOF order by lines of particles across the shorter side of a block ``height`` cells tall.
 
-    Columns (ix slowest, then iy) when 2 nx >= ny, else rows (the natural
-    order); a particle's x and y DOFs stay adjacent. A half-height block
-    taken in this order has half-bandwidth 2 min(nx, ny // 2) + 5 at most.
+    Columns (ix slowest, then iy) when nx >= height, else rows (the natural
+    order); a particle's x and y DOFs stay adjacent. The block, the whole
+    plate (height ny) or a half-height mirror block (ny // 2), taken in this
+    order has half-bandwidth 2 min(nx, height) + 5 at most.
     """
     particles = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
-    if 2 * nx >= ny:
+    if nx >= height:
         particles = particles.T
     particles = particles.ravel()
     return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
@@ -582,10 +537,10 @@ class ReducedStencil:
     ``_lattice_stencil``); ``fill`` gives the ReducedSystem of one value
     table (see ``stencil_values``). ``coupling``, the slot pattern of the
     free rows and fixed columns, is kept for nonzero prescribed values
-    only, which ``fill`` moves to the right-hand side. With a mirror,
-    ``pattern.layouts`` is the memo of its blocks' band layouts, which
-    every system ``fill`` returns shares: a sweep over value tables builds
-    each block's layout once.
+    only, which ``fill`` moves to the right-hand side. ``pattern.layouts``
+    is the memo of its blocks' band layouts, which every system ``fill``
+    returns shares: a sweep over value tables builds each block's layout
+    once.
     """
 
     pattern: ReducedSystem
@@ -595,27 +550,25 @@ class ReducedStencil:
         rhs = self.pattern.rhs
         if self.coupling is not None:
             rhs = rhs - _fill(self.coupling, values) @ self.pattern.fixed_values
-        symmetric = _mirror_symmetric(values)
         return replace(
             self.pattern,
             matrix=_fill(self.pattern.matrix, values),
             rhs=rhs,
-            mirror=self.pattern.mirror if symmetric else None,
-            band=self.pattern.band if symmetric else None,
+            mirror=self.pattern.mirror if _mirror_symmetric(values) else None,
         )
 
 
 def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> ReducedStencil:
     """Constrained lattice system for any cell matrix, built once per mesh.
 
-    The free DOFs come out in the grid's nested-dissection order, so the
-    reduced matrix is already permuted for the factorization. scipy's fancy
-    indexing carries the slot pattern's data and keeps the entry order that
-    ``K[free][:, free]`` gives, so ``fill(stencil_values(cell))`` equals that
-    slice of the assembled matrix entry for entry, and a sweep over cell
-    matrices pays for the pattern, the elimination and the order once. The
-    mirror survives zero supports that map onto themselves, and with it the
-    band order of its blocks.
+    The free DOFs come out in ``_line_order`` across the shorter side of the
+    half-plate if the mirror survives (zero supports that map onto
+    themselves), else of the whole plate: the order in which each block
+    ``solve`` factors is a narrow band. scipy's fancy indexing carries the
+    slot pattern's data and keeps the entry order that ``K[free][:, free]``
+    gives, so ``fill(stencil_values(cell))`` equals that slice of the
+    assembled matrix entry for entry, and a sweep over cell matrices pays
+    for the pattern, the elimination and the order once.
     """
     n, fixed, values = mesh.n_dofs, constraints.dofs, constraints.values
     if forces.shape != (n,):
@@ -623,19 +576,16 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
         raise ValueError("constraint references a DOF outside the system")
     nx, ny = mesh.spec.nx, mesh.spec.ny
-    order, mirror = _nested_dissection(nx, ny), _grid_mirror(nx, ny)
+    mirror = _grid_mirror(nx, ny)
+    if mirror is not None and (np.any(values) or not np.isin(mirror[fixed], fixed).all()):
+        mirror = None
+    order = _line_order(nx, ny, ny if mirror is None else ny // 2)
     free = order[~np.isin(order, fixed)]
-    rows, coupling, band = _lattice_stencil(nx, ny)[free], None, None
-    if np.any(values):
-        coupling, mirror = rows[:, fixed], None
-    elif mirror is not None and np.isin(mirror[fixed], fixed).all():
-        position = np.full(mirror.size, -1, dtype=np.intp)
+    rows = _lattice_stencil(nx, ny)[free]
+    if mirror is not None:
+        position = np.full(n, -1, dtype=np.intp)
         position[free] = np.arange(free.size)
         mirror = position[mirror[free]]
-        band = position[_line_order(nx, ny)]
-        band = band[band >= 0]
-    else:
-        mirror = None
     pattern = ReducedSystem(
         matrix=rows[:, free].tocsr(),
         rhs=forces[free],
@@ -644,10 +594,9 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         fixed_values=values,
         n_dofs=n,
         mirror=mirror,
-        band=band,
-        layouts=None if mirror is None else {},
+        layouts={},
     )
-    return ReducedStencil(pattern, coupling)
+    return ReducedStencil(pattern, rows[:, fixed] if np.any(values) else None)
 
 
 def _inertia(pivots: np.ndarray) -> tuple[int, int, int]:
@@ -657,21 +606,12 @@ def _inertia(pivots: np.ndarray) -> tuple[int, int, int]:
     return neg, pivots.size - neg - pos, pos
 
 
-def _factor(matrix: scipy.sparse.spmatrix) -> SuperLU:
-    try:
-        return splu(
-            matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-    except RuntimeError as exc:  # singular factorization
-        raise SingularSystemError(f"stiffness matrix is singular: {exc}") from exc
-
-
 _BAND_CHUNK = 8192  # rows per step of _band_layout: blocks up to 128x32 take one
 
 
 @dataclass(frozen=True)
 class _BandLayout:
-    """Where one mirror block of a reduced matrix lies in LAPACK's upper band storage.
+    """Where one block of a reduced matrix lies in LAPACK's lower band storage.
 
     ``rows`` are the block's reduced indices in band order, ``image`` their
     mirror images and ``sign`` (int8) the factor of an image's value in the
@@ -691,7 +631,7 @@ class _BandLayout:
     halved: np.ndarray
 
     def storage(self, data: np.ndarray) -> np.ndarray:
-        """The block's band storage ab[u + i - j, j] = a[i, j] for the matrix data ``data``.
+        """The block's band storage ab[i - j, j] = a[i, j] for the matrix data ``data``.
 
         A refill: at 512x128 it takes 1 MiB beside the 67 MiB storage.
         """
@@ -711,47 +651,48 @@ def _band_layout(
 ) -> tuple[_BandLayout, np.ndarray]:
     """The band layout of the block ``matrix[rows][:, rows]``, and the block's band storage.
 
-    The half-bandwidth u comes from the pattern alone, read in chunks of
-    ``_BAND_CHUNK`` rows. The matrix is symmetric to the bit, so row k's
-    entries left of the diagonal are column k's above it: the block's rows,
-    in chunks of the same size, give each such entry's flat position in the
-    Fortran-ordered storage and fill it, a run of columns at a time. No
-    temporary outlives its chunk: at 512x128 this takes 3.5 MiB beside the
+    The matrix is symmetric to the bit, so row k's entries right of the
+    diagonal are column k's below it. The block's rows, in chunks of
+    ``_BAND_CHUNK``, give those entries and their columns j; the largest
+    j - k is the half-bandwidth u. Then each entry's flat position in the
+    Fortran-ordered storage follows and fills it, a chunk at a time, and
+    each chunk's columns are freed. At 512x128 this takes 3.9 MiB beside the
     67 MiB storage and the layout's 4.7 MiB of positions.
     """
     n, indptr = rows.size, matrix.indptr
-    position = np.full(matrix.shape[1], n, dtype=matrix.indices.dtype)  # n: outside the block
+    position = np.full(matrix.shape[1], -1, dtype=matrix.indices.dtype)  # -1: outside the block
     position[rows] = np.arange(n, dtype=position.dtype)
-    u = 0
-    for r0 in range(0, matrix.shape[0], _BAND_CHUNK):
-        starts = indptr[r0 : r0 + _BAND_CHUNK + 1]
-        # every row holds its diagonal, so no span is empty
-        spans = np.take(position, matrix.indices[starts[0] : starts[-1]])
-        leftmost = np.minimum.reduceat(spans, starts[:-1] - starts[0])
-        k = position[r0 : r0 + _BAND_CHUNK]
-        u = max(u, int(np.max(k - leftmost, where=k < n, initial=0)))
-    ab = np.zeros((u + 1, n), order="F")
-    storage = ab.ravel(order="K")  # ab[u + j - k, k] is storage[(u + 1) k + u + j - k]
-    index = np.int32 if ab.size < 2**31 else np.int64
-    on_axis, flats, entries, halved = sign == 0, [], [], []
+    chunks = []
     for k0 in range(0, n, _BAND_CHUNK):
         chunk = rows[k0 : k0 + _BAND_CHUNK]
         starts, counts = indptr[chunk], indptr[chunk + 1] - indptr[chunk]
         # the chunk's CSR entries, row by row
         entry = np.arange(counts.sum(), dtype=indptr.dtype)
         entry += np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        k = np.arange(k0, k0 + chunk.size, dtype=index).repeat(counts)
-        j = np.take(position, np.take(matrix.indices, entry)).astype(index, copy=False)
+        k = np.arange(k0, k0 + chunk.size, dtype=position.dtype).repeat(counts)
+        j = np.take(position, np.take(matrix.indices, entry))
         # drops the columns outside the block too; np.take outruns a boolean mask here
-        lower = np.flatnonzero(j <= k)
-        entry, k, j = (np.take(a, lower) for a in (entry, k, j))
-        flat = u * k + (j + u)
+        right = np.flatnonzero(j >= k)
+        chunks.append([np.take(a, right) for a in (entry, k, j)])
+        del k, j, right  # freed before the next chunk is gathered
+    u = max((int(np.max(j - k, initial=0)) for _, k, j in chunks), default=0)
+    ab = np.zeros((u + 1, n), order="F")
+    storage = ab.ravel(order="K")  # ab[j - k, k] is storage[(u + 1) k + j - k]
+    index = np.int32 if ab.size < 2**31 else np.int64
+    on_axis, flats, entries, halved = sign == 0, [], [], []
+    for gathered in chunks:
+        entry, k, j = gathered
+        both = np.take(on_axis, k) & np.take(on_axis, j)
+        flat = k.astype(index, copy=False)  # in place where it can: k is not read again
+        flat *= u
+        flat += j
+        gathered.clear()  # frees j
+        del k, j
         storage[flat] = np.take(matrix.data, entry)
-        halved.append(flat[np.take(on_axis, k) & np.take(on_axis, j)])
+        halved.append(flat[both])
         storage[halved[-1]] *= 0.5
         flats.append(flat)
         entries.append(entry)
-        del k, j, lower  # freed before the next chunk is gathered
     flat = np.concatenate(flats)
     del flats  # freed before the entries are joined
     entry, halved = np.concatenate(entries), np.concatenate(halved)
@@ -759,12 +700,13 @@ def _band_layout(
 
 
 def _band_ldlt(ab: np.ndarray):
-    """Tiled LDL^T of the symmetric band matrix in LAPACK's upper band storage.
+    """Tiled LDL^T of the symmetric band matrix in LAPACK's lower band storage.
 
-    In tiles of b = u rows the band is block tridiagonal, diagonal tiles A_k
-    and couplings C_k = a[tile k, tile k + 1]. Each S_k = A_k - C_{k-1}^T
-    X_{k-1} is factored by Bunch-Kaufman (``dsytrf``, interchanges within
-    the tile), and X_k = S_k^-1 C_k is formed from the tile's inverse
+    In tiles of b = u rows (u + 1 for u < 2, so that a 2x2 pivot fits a
+    tile of a tridiagonal matrix) the band is block tridiagonal, diagonal
+    tiles A_k and couplings C_k = a[tile k, tile k + 1]. Each S_k = A_k -
+    C_{k-1}^T X_{k-1} is factored by Bunch-Kaufman (``dsytrf``, interchanges
+    within the tile), and X_k = S_k^-1 C_k is formed from the tile's inverse
     (``dsytri``, ``dsymm``), which costs less than ``dsytrs`` on b
     right-hand sides, so a = L D L^T with D the S_k. Returns the block's
     solver, the values its factors store and its pivots (the eigenvalues of
@@ -773,11 +715,12 @@ def _band_ldlt(ab: np.ndarray):
     is not finite.
     """
     u, n = ab.shape[0] - 1, ab.shape[1]
-    b, step = max(u, 1), ab.itemsize
-    # a[i, j] = ab[u + i - j, j] is element u (j + 1) + i of the storage for
-    # j - u <= i <= j: one strided view reads every tile in place, and its
-    # entries outside the band, other storage, are masked or not read
-    dense = np.ndarray((n, n), ab.dtype, ab.ravel(order="K"), u * step, (step, u * step))
+    b, step = u + (u < 2), ab.itemsize
+    # a[i, j] = ab[i - j, j] is element u j + i of the storage for j <= i <= j + u:
+    # the transpose of the view with strides (1, u) reads every tile's upper
+    # triangle in place, and its entries outside the band, other storage,
+    # are masked or not read
+    dense = np.ndarray((n, n), ab.dtype, ab.ravel(order="K"), 0, (step, u * step)).T
     outside = ~np.tri(b, dtype=bool, k=u - b)  # a coupling's entries outside the band
     lwork, tiles, diagonal, above = int(dsytrf_lwork(b)[0]), [], np.empty(n), np.zeros(n)
     for r0 in range(0, n, b):
@@ -815,26 +758,36 @@ def _band_ldlt(ab: np.ndarray):
     return apply, sum(ldu.size + x.size for _, _, ldu, _, x in tiles), diagonal
 
 
-def _mirror_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, images and signs of the mirror block of parity s (see ``_BandLayout``)."""
+def _band_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, images and signs of the block of parity s (see ``_BandLayout``).
+
+    s = 0 is the whole system, every DOF its own image on the axis of the
+    identity mirror: the fold halves K and the load, and the unfold adds
+    nothing.
+    """
+    n = reduced.free.size
+    if not s:
+        rows = np.arange(n)
+        return rows, rows, np.zeros(n, np.int8)
     mirror, free = reduced.mirror, reduced.free
-    axis = mirror == np.arange(mirror.size)
+    axis = mirror == np.arange(n)
     parity = np.where(free % 2, -s, s).astype(np.int8)
-    rows = reduced.band[((free[mirror] > free) | axis & (parity > 0))[reduced.band]]
+    rows = np.flatnonzero((free[mirror] > free) | axis & (parity > 0))
     # zero on the axis, where the fold halves the load and the unfold adds nothing
     return rows, mirror[rows], np.where(axis[rows], 0, parity[rows]).astype(np.int8)
 
 
-def _mirror_solver(
+def _band_solver(
     reduced: ReducedSystem, full: bool
 ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, np.ndarray]:
-    """Band solver through the mirror blocks, with its pivots.
+    """Band solver through the blocks of the reduced matrix, with its pivots.
 
-    A field of parity s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y
-    DOFs, so only x (s = 1) or y (s = -1) moves on the axis. Each cell lies
-    in one half of the plate: the block is K on the lower and moving axis
-    DOFs, axis-axis entries halved, and in ``band`` order it is a band
-    matrix. Every block is factored, or only those the right-hand side
+    With a mirror, a field of parity s = +-1 has u[m(i)] = s sigma_i u[i],
+    sigma = -1 on y DOFs, so only x (s = 1) or y (s = -1) moves on the axis.
+    Each cell lies in one half of the plate: the block is K on the lower and
+    moving axis DOFs, axis-axis entries halved. Without a mirror the one
+    block (s = 0) is the whole matrix. In the reduced order each block is a
+    band matrix. Every block is factored, or only those the right-hand side
     excites: by LAPACK's band Cholesky or, where that meets a pivot that is
     not positive, by the tiled LDL^T (``_band_ldlt``) of the block filled
     again. A block's band layout (``_BandLayout``) is built on the first
@@ -845,18 +798,19 @@ def _mirror_solver(
     (squared diagonals of a Cholesky factor, D's eigenvalues of an LDL^T)
     of every factor completed; those of all blocks give the inertia, as
     the blocks together are congruent to the reduced matrix. It is None
-    when an LDL^T fails or its pivots hold a zero (see ``_inertia``).
+    when an LDL^T fails.
     """
     data = reduced.matrix.data
     layouts = {} if reduced.layouts is None else reduced.layouts
-    blocks, stored, pivots, indefinite = [], 0, np.empty(0), False
-    for s in (1, -1):
+    blocks, stored, pivots = [], 0, np.empty(0)
+    for s in (0,) if reduced.mirror is None else (1, -1):
         layout = layouts.get(s)
         if layout is None:
-            rows, image, sign = _mirror_block(reduced, s)
+            rows, image, sign = _band_block(reduced, s)
         else:
             rows, image, sign = layout.rows, layout.image, layout.sign
-        if not (full or np.any(reduced.rhs[rows] + sign * reduced.rhs[image])):
+        # an empty block (every DOF fixed) has nothing to factor
+        if not (rows.size and (full or np.any(reduced.rhs[rows] + sign * reduced.rhs[image]))):
             continue
         if layout is None:
             layout, ab = _band_layout(reduced.matrix, rows, image, sign)
@@ -864,19 +818,17 @@ def _mirror_solver(
         else:
             ab = layout.storage(data)
         try:
-            factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-            solve_block = partial(cho_solve_banded, (factor, False), check_finite=False)
-            size, block_pivots = factor.size, factor[-1] ** 2
+            factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+            solve_block = partial(cho_solve_banded, (factor, True), check_finite=False)
+            size, block_pivots = factor.size, factor[0] ** 2
         except LinAlgError:
             del ab  # overwritten by the failed factor: filled again
             ldlt = _band_ldlt(layout.storage(data))
             if ldlt is None:
                 return None, stored, pivots
-            (solve_block, size, block_pivots), indefinite = ldlt, True
+            solve_block, size, block_pivots = ldlt
         pivots, stored = np.concatenate([pivots, block_pivots]), stored + size
         blocks.append((rows, image, sign, solve_block))
-    if indefinite and _inertia(pivots)[1]:
-        return None, stored, pivots
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         u = np.zeros_like(rhs)
@@ -892,50 +844,42 @@ def _mirror_solver(
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
-    A system with a mirror is factored on its half-height blocks in its
-    ``band`` order, where each block is a narrow band: every block when the
-    inertia is requested or the load is zero, else only the blocks the load
-    excites (one, for the odd loads of the bending and cantilever plates).
-    A positive definite block takes LAPACK's band Cholesky
-    (``scipy.linalg.cholesky_banded``), an indefinite one (Born past its
-    threshold) a tiled LDL^T with Bunch-Kaufman pivots inside each tile. A
-    system without a mirror, or one whose LDL^T meets a zero pivot, is
-    factored whole by the sparse LU, with diagonal pivots, in the order it
-    comes in: a lattice's reduced DOFs are already in nested-dissection
-    order (see ``reduce_stencil``). One rule reads the pivots of whichever
-    factor it made, band or LU: a zero pivot (see ``_inertia``) marks a
-    rigid mode and raises, also under a zero load, and the signs are the
-    inertia unless the LU interchanged rows.
+    The system is factored in blocks, each a narrow band in the order its
+    DOFs come in (see ``reduce_stencil``): a system with a mirror on its two
+    half-height blocks, every block when the inertia is requested or the
+    load is zero, else only the blocks the load excites (one, for the odd
+    loads of the bending and cantilever plates); any other system as one
+    block, its whole matrix. A positive definite block takes LAPACK's band
+    Cholesky (``scipy.linalg.cholesky_banded``), any other a tiled LDL^T
+    with Bunch-Kaufman pivots inside each tile, whose verdict is final. One
+    rule reads the pivots of the factors: a zero pivot (see ``_inertia``)
+    marks a rigid mode and raises, also under a zero load, and the signs
+    are the inertia.
 
     Args:
         reduced: system after constraint elimination.
         compute_inertia: also report the inertia; skip when stability is
-            known. With a nonzero load the band path then factors only the
-            blocks the load excites, and a singular block it does not excite
-            passes.
+            known. With a nonzero load a system with a mirror then factors
+            only the blocks the load excites, and a singular block it does
+            not excite passes.
 
     Returns:
         Solution with the full displacement vector (prescribed DOFs
         re-inserted) and an indefiniteness flag.
 
     Raises:
-        SingularSystemError: zero pivot among those read, non-finite
+        SingularSystemError: zero pivot among those read, an LDL^T that meets
+            an exactly zero pivot or a value that is not finite, non-finite
             solution, or residual above 1e-10 times the load norm.
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
-    full = compute_inertia or not np.any(reduced.rhs)
-    apply, pivots, signed = None, np.empty(0), compute_inertia
-    if reduced.mirror is not None:
-        apply, factor_nnz, pivots = _mirror_solver(reduced, full)
+    apply, factor_nnz, pivots = _band_solver(reduced, compute_inertia or not np.any(reduced.rhs))
     if apply is None:
-        factor = _factor(reduced.matrix)
-        apply, factor_nnz = factor.solve, int(factor.nnz)
-        # Sylvester's law: with one symmetric permutation, P A P^T = L D L^T
-        # and the diagonal of U is D; a row interchange voids the signs only
-        pivots = factor.U.diagonal()
-        signed = signed and np.array_equal(factor.perm_r, factor.perm_c)
+        raise SingularSystemError(
+            "stiffness matrix is singular: zero pivot or a value that is not finite in its LDL^T"
+        )
     counts = _inertia(pivots)
-    inertia = counts if signed else None
+    inertia = counts if compute_inertia else None
     if counts[1]:
         raise SingularSystemError("stiffness matrix is singular: zero pivot", inertia)
     u_free = apply(reduced.rhs)

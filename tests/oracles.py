@@ -268,14 +268,13 @@ def constrained_spectrum(reduced) -> np.ndarray:
 def whole_factor_solve(reduced) -> tuple[np.ndarray, int]:
     """Full displacement vector of a reduced system from one factor of its whole matrix.
 
-    SuperLU in the matrix's own order with diagonal pivots, as ``solve``
-    factors a system without a mirror or one that is not positive definite,
-    and one step of iterative refinement. Returns the displacements and
-    nnz(L+U).
+    SuperLU in its own minimum-degree order of A + A^T, with diagonal pivots
+    (a symmetric permutation), and one step of iterative refinement.
+    Returns the displacements and nnz(L+U).
     """
     factor = splu(
         reduced.matrix.tocsc(),
-        permc_spec="NATURAL",
+        permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
@@ -333,49 +332,22 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def _dissect(grid: np.ndarray, blocks: list[np.ndarray]) -> None:
-    rows, cols = grid.shape
-    if max(rows, cols) < 3:
-        blocks.append(grid.ravel())
-    elif cols >= rows:
-        _dissect(grid[:, : cols // 2], blocks)
-        _dissect(grid[:, cols // 2 + 1 :], blocks)
-        blocks.append(grid[:, cols // 2])
-    else:
-        _dissect(grid[: rows // 2], blocks)
-        _dissect(grid[rows // 2 + 1 :], blocks)
-        blocks.append(grid[rows // 2])
-
-
-def recursive_dissection(nx: int, ny: int) -> np.ndarray:
-    """Nested-dissection DOF order of an (nx+1) x (ny+1) particle grid, block by block.
-
-    Recurses on views of the particle grid: each block splits at the middle
-    line of its longer side, its halves numbered first and the separator
-    last, down to blocks whose sides hold fewer than 3 particles.
-    """
-    blocks: list[np.ndarray] = []
-    _dissect(np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1), blocks)
-    particles = np.concatenate(blocks)
-    return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
-
-
 def gathered_band_storage(matrix, rows: np.ndarray, on_axis: np.ndarray) -> np.ndarray:
-    """LAPACK's upper band storage ab[u + i - j, j] = a[i, j] of a = matrix[rows][:, rows].
+    """LAPACK's lower band storage ab[i - j, j] = a[i, j] of a = matrix[rows][:, rows].
 
     Entries between two axis DOFs are halved. Gathers the block's rows at
-    once by scipy's fancy indexing and scatters their upper triangle.
+    once by scipy's fancy indexing and scatters their lower triangle.
     """
     block = matrix[rows]
     position = np.full(matrix.shape[1], -1, dtype=block.indices.dtype)
     position[rows] = np.arange(rows.size, dtype=block.indices.dtype)
     col = position[block.indices]
     row = np.repeat(np.arange(rows.size, dtype=block.indices.dtype), np.diff(block.indptr))
-    upper = col >= row  # drops the columns outside the block too
-    row, col, data = row[upper], col[upper], block.data[upper]
-    del block, upper  # freed before the band storage is allocated
+    lower = (col >= 0) & (col <= row)  # the columns outside the block read -1
+    row, col, data = row[lower], col[lower], block.data[lower]
+    del block, lower  # freed before the band storage is allocated
     data[on_axis[row] & on_axis[col]] *= 0.5
-    u = int((col - row).max())
+    u = int((row - col).max())
     ab = np.zeros((u + 1, rows.size), order="F")
-    ab[u + row - col, col] = data
+    ab[row - col, col] = data
     return ab

@@ -358,29 +358,22 @@ class TestBenchmarkCommand:
         assert rows[0]["inertia_source"] == "factor"
         assert int(rows[0]["negative_pivots"]) > 0
 
-        # an unstable Born row whose inertia is not known must not pass
-        # for a verified-stable one: a row interchange voids the pivot signs.
-        # The uniaxial plate has no mirror, so the sparse LU factors it
-        # (its inertia is (1, 0, 11) on 2x2)
-        class Interchanged:
-            def __init__(self, factor):
-                self.factor, self.perm_r = factor, np.roll(factor.perm_c, 1)
-
-            def __getattr__(self, name):
-                return getattr(self.factor, name)
-
-        splu = lattice_module.splu
-        monkeypatch.setattr(lattice_module, "splu", lambda *a, **k: Interchanged(splu(*a, **k)))
-        assert convergence(tmp_path / "none", "uniaxial", "born", "0.49", "2x2") == 0
+        # an unstable Born row whose inertia is not known must not pass for a
+        # verified-stable one: a tiled LDL^T that fails leaves no inertia. The
+        # uniaxial plate is one block, which band Cholesky rejects (its
+        # inertia is (1, 0, 11) on 2x2)
+        monkeypatch.setattr(lattice_module, "_band_ldlt", lambda ab: None)
+        assert convergence(tmp_path / "none", "uniaxial", "born", "0.49", "2x2") == 3
         _, rows = read_table(tmp_path / "none" / "convergence_uniaxial.csv")
         assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("0", "false")
-        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("false", "unknown")
+        assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("true", "unknown")
 
-    def test_inertia_source_unknown_when_splu_raises(self, tmp_path, monkeypatch):
-        def broken_splu(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+    def test_inertia_source_unknown_when_the_ldlt_fails(self, tmp_path, monkeypatch):
+        def rejected(*args, **kwargs):
+            raise lattice_module.LinAlgError("not positive definite")
 
-        monkeypatch.setattr("lsm2d.lattice.splu", broken_splu)
+        monkeypatch.setattr(lattice_module, "cholesky_banded", rejected)
+        monkeypatch.setattr(lattice_module, "_band_ldlt", lambda ab: None)
         assert main(
             [
                 "benchmark",

@@ -44,20 +44,12 @@ from lsm2d import (
     solve,
     stencil_values,
 )
-from lsm2d.lattice import (
-    _band_layout,
-    _band_ldlt,
-    _grid_mirror,
-    _inertia,
-    _mirror_block,
-    _nested_dissection,
-)
+from lsm2d.lattice import _band_block, _band_layout, _band_ldlt, _grid_mirror, _inertia
 from oracles import (
     constrained_spectrum,
     coo_assembly,
     eigenvalue_inertia,
     gathered_band_storage,
-    recursive_dissection,
     sliced_reduction,
     whole_factor_solve,
 )
@@ -118,6 +110,13 @@ def mmd_factor(reduced):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def column_order(nx, ny, columns=True):
+    """DOFs by columns of particles (ix slowest, then iy), or by rows, x before y."""
+    particles = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    particles = (particles.T if columns else particles).ravel()
+    return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
 class TestBuildMesh:
@@ -318,36 +317,26 @@ class TestAssemble:
         assert np.all(system.forces == 0.0)
 
 
-class TestNestedDissection:
-    def test_four_by_one_grid(self):
-        # 2 x 5 particles: the middle column (2, 7) separates the two 2 x 2
-        # halves and is numbered last
-        particles = [0, 1, 5, 6, 3, 4, 8, 9, 2, 7]
-        expected = np.ravel([(2 * p, 2 * p + 1) for p in particles])
-        np.testing.assert_array_equal(_nested_dissection(4, 1), expected)
-
-    def test_order_is_a_permutation_with_paired_dofs(self):
-        for nx in range(1, 41):
-            for ny in range(1, 41):
-                order = _nested_dissection(nx, ny)
-                np.testing.assert_array_equal(np.sort(order), np.arange(2 * (nx + 1) * (ny + 1)))
-                assert np.all(order[0::2] % 2 == 0)
-                np.testing.assert_array_equal(order[1::2], order[0::2] + 1)
-                # the first separator is the middle line across the longer side
-                grid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
-                if max(nx, ny) >= 2:
-                    middle = grid[:, (nx + 1) // 2] if nx >= ny else grid[(ny + 1) // 2]
-                    np.testing.assert_array_equal(order[-2 * middle.size :: 2], 2 * middle)
+class TestLineOrder:
+    """The free DOFs come by lines across the shorter side of the block that is factored."""
 
     @pytest.mark.parametrize(
-        "sizes",
-        [[(nx, ny) for nx in range(1, 41) for ny in range(1, 41)], [(256, 64), (512, 128)]],
-        ids=["1..40", "large"],
+        "nx,ny,moved,columns",
+        [
+            (4, 3, False, True),  # odd ny: no mirror, the whole plate, nx >= ny
+            (3, 7, False, False),  # the whole plate, nx < ny: rows
+            (3, 4, False, True),  # the mirror: the half-plate, 2 nx >= ny
+            (3, 4, True, False),  # a moved support drops the mirror: the whole plate
+            (2, 8, False, False),  # the half-plate, 2 nx < ny
+            (4, 4, True, True),  # a square plate: columns
+        ],
     )
-    def test_matches_the_recursive_oracle(self, sizes):
-        # the order memoised by block shape is the recursion on grid views
-        for nx, ny in sizes:
-            np.testing.assert_array_equal(_nested_dissection(nx, ny), recursive_dissection(nx, ny))
+    def test_lines_cross_the_shorter_side_of_the_block(self, nx, ny, moved, columns):
+        system = make_system(nx, ny, modified_set())[1]
+        reduced = apply_constraints(system, Constraints.from_pairs([(0, 1e-6)] if moved else []))
+        assert (reduced.mirror is None) == (moved or ny % 2 == 1)
+        order = column_order(nx, ny, columns)
+        np.testing.assert_array_equal(reduced.free, order[order != 0] if moved else order)
 
     def test_order_travels_to_the_reduced_system(self):
         mesh, system = make_system(5, 3, modified_set())
@@ -356,8 +345,9 @@ class TestNestedDissection:
         pairs = fix_nodes(mesh.edge_nodes("bottom"), "xy") + [(2 * 23, 0.5)]
         reduced = apply_constraints(loaded, Constraints.from_pairs(pairs))
         fixed = [dof for dof, _ in pairs]
-        order = _nested_dissection(5, 3)
-        np.testing.assert_array_equal(reduced.free, [d for d in order if d not in fixed])
+        np.testing.assert_array_equal(
+            reduced.free, [d for d in column_order(5, 3) if d not in fixed]
+        )
         K = system.stiffness.toarray()
         np.testing.assert_array_equal(
             reduced.matrix.toarray(), K[np.ix_(reduced.free, reduced.free)]
@@ -365,6 +355,13 @@ class TestNestedDissection:
         np.testing.assert_array_equal(
             reduced.rhs, loaded.forces[reduced.free] - 0.5 * K[reduced.free, 2 * 23]
         )
+
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (8, 8), (16, 16), (16, 15), (5, 12), (12, 5)])
+    def test_a_plate_without_a_mirror_is_one_narrow_band(self, nx, ny):
+        system = make_system(nx, ny, modified_set())[1]
+        pinned = Constraints.from_pairs([(0, 1e-6)])
+        matrix = apply_constraints(system, pinned).matrix.tocoo()
+        assert np.abs(matrix.row - matrix.col).max() <= 2 * min(nx, ny) + 5
 
 
 class TestReducedStencil:
@@ -378,7 +375,9 @@ class TestReducedStencil:
         moved = Constraints(supports.dofs, np.where(supports.dofs == supports.dofs[-1], 1e-6, 0.0))
         forces = load_vector(mesh, case_loads(case), case.material.thickness)
         fixed = set(supports.dofs.tolist())
-        free = np.array([dof for dof in _nested_dissection(*size) if dof not in fixed])
+        # every plate here is at least as wide as it is tall, so with or
+        # without the mirror its free DOFs come by columns
+        free = np.array([dof for dof in column_order(*size) if dof not in fixed])
         matrices = [
             cell_matrix(calibrate(dataclasses.replace(case.material, regime=regime), model))
             for regime in REGIMES
@@ -746,9 +745,20 @@ class TestSolve:
         assert solution.inertia == eigenvalue_inertia(reduced.matrix)
         assert solution.indefinite == (solution.inertia[0] > 0)
 
-    def test_off_diagonal_pivot_reports_no_inertia(self):
-        # SuperLU must swap rows to avoid the zero diagonal, so the pivot
-        # signs (0, 0, 3) are not the inertia (1, 0, 2); solve, but say so
+    @pytest.mark.parametrize("ny,value", [(1, 0.0), (2, 0.0), (2, 1e-3)])
+    def test_fully_constrained_plate_returns_its_prescribed_values(self, ny, value):
+        # no free DOF: with a mirror (ny = 2, zero values) both blocks are empty
+        mesh, system = make_system(1, ny, modified_set())
+        pairs = [(dof, value) for dof in range(mesh.n_dofs)]
+        reduced = apply_constraints(system, Constraints.from_pairs(pairs))
+        assert (reduced.mirror is not None) == (ny == 2 and value == 0.0)
+        solution = solve(reduced)
+        assert np.all(solution.u == value)
+        assert (solution.inertia, solution.factor_nnz) == ((0, 0, 0), 0)
+
+    def test_zero_diagonal_reads_its_inertia(self):
+        # band Cholesky rejects the zero diagonal; the tiled LDL^T takes the
+        # leading 2x2 block as one pivot, and its signs are the inertia
         matrix = scipy.sparse.csr_matrix(
             np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         )
@@ -763,8 +773,30 @@ class TestSolve:
         assert eigenvalue_inertia(matrix) == (1, 0, 2)
         solution = solve(reduced)
         np.testing.assert_allclose(solution.u, [2.0, 1.0, 1.5], rtol=1e-15)
-        assert solution.inertia is None
-        assert not solution.indefinite
+        assert solution.inertia == (1, 0, 2)
+        assert solution.indefinite
+
+    @pytest.mark.parametrize(
+        "kind,counts",
+        [
+            (UNIAXIAL, [(3, 0, 9), (12, 0, 28), (42, 0, 102), (170, 0, 374)]),
+            (PURE_SHEAR, [(3, 0, 9), (11, 0, 29), (43, 0, 101), (170, 0, 374)]),
+        ],
+    )
+    def test_born_at_0_4_in_plane_strain_is_indefinite_not_singular(self, kind, counts):
+        # k_n2 + k_s1 = 0 to 2e-16 of either. The square plates have no
+        # mirror: the whole LU without interchanges grew its pivots 1e14 to
+        # 1e15 past the largest entry and read them as zero on 2x2, 8x8 and
+        # 16x16; the tiled LDL^T of the whole matrix reads the eigenvalues
+        stiffness = calibrate(Material(2e11, 0.4, 0.01, PLANE_STRAIN), BORN)
+        assert abs(stiffness.k_n2 + stiffness.k_s1) <= 2e-16 * stiffness.k_n2
+        for n, expected in zip((2, 4, 8, 16), counts):
+            reduced = apply_constraints(*loaded_case(kind, BORN, 0.4, PLANE_STRAIN, (n, n)))
+            assert reduced.mirror is None
+            assert eigenvalue_inertia(reduced.matrix) == expected
+            solution = solve(reduced)
+            assert solution.inertia == expected and solution.indefinite
+            assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
 
     @pytest.mark.parametrize("kind", CASE_KINDS)
     @pytest.mark.parametrize("regime,nu", [(PLANE_STRESS, 1.0 / 3.0), (PLANE_STRAIN, 0.25)])
@@ -777,21 +809,7 @@ class TestSolve:
 
 
 class TestFactorOrdering:
-    """The nested-dissection factor against SuperLU's minimum-degree one."""
-
-    def test_less_fill_than_minimum_degree(self):
-        # the whole factor, as solve makes it for a system without a mirror,
-        # in the nested-dissection order the reduced system comes in
-        system, constraints = loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64))
-        natural = natural_order(system, constraints)
-        assert whole_factor_solve(apply_constraints(system, constraints))[1] <= 0.9 * mmd_factor(
-            natural
-        ).nnz
-        # a positive definite plate without the inertia factors only the odd mirror block
-        system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (256, 64))
-        reduced = apply_constraints(system, constraints)
-        odd = solve(reduced, compute_inertia=False)
-        assert odd.factor_nnz < 0.6 * whole_factor_solve(reduced)[1]
+    """The band factors against SuperLU's minimum-degree factor of the whole matrix."""
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_indefinite_born_matches_minimum_degree(self, regime):
@@ -945,33 +963,26 @@ class TestMirrorSplit:
 
 
 def block_rows(reduced, s):
-    """Reduced indices of the mirror block of parity s, in ``band`` order."""
+    """Reduced indices of the mirror block of parity s, in the reduced order."""
     free, mirror = reduced.free, reduced.mirror
     axis = mirror == np.arange(free.size)
-    in_block = (free[mirror] > free) | axis & (np.where(free % 2, -s, s) > 0)
-    return reduced.band[in_block[reduced.band]]
+    return np.flatnonzero((free[mirror] > free) | axis & (np.where(free % 2, -s, s) > 0))
 
 
 def block_layout(reduced, s):
     """The band layout of the mirror block of parity s, and the storage its build fills."""
-    return _band_layout(reduced.matrix, *_mirror_block(reduced, s))
-
-
-def no_splu(*args, **kwargs):
-    raise AssertionError("sparse LU called")
+    return _band_layout(reduced.matrix, *_band_block(reduced, s))
 
 
 class TestBandCholesky:
-    """Positive definite mirror blocks are factored by band Cholesky in ``band`` order."""
+    """Positive definite blocks are factored by band Cholesky in the reduced order."""
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(8, 2), (16, 4), (64, 16)])
     def test_band_is_the_column_order_of_the_free_dofs(self, kind, size):
-        reduced = apply_constraints(*loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size))
-        band, free = reduced.band, reduced.free
-        np.testing.assert_array_equal(np.sort(band), np.arange(free.size))
+        free = apply_constraints(*loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size)).free
         # ix slowest, then iy, then the component
-        particle, component = free[band] // 2, free[band] % 2
+        particle, component = free // 2, free % 2
         ix, iy = particle % (size[0] + 1), particle // (size[0] + 1)
         key = (ix * (size[1] + 1) + iy) * 2 + component
         assert np.all(np.diff(key) > 0)
@@ -979,7 +990,7 @@ class TestBandCholesky:
     def test_band_of_a_tall_plate_is_the_row_order(self):
         # 2 nx < ny: the half-plate's rows are its shorter lines
         reduced = apply_constraints(make_system(2, 8, modified_set())[1], UNSUPPORTED)
-        np.testing.assert_array_equal(reduced.free[reduced.band], np.sort(reduced.free))
+        np.testing.assert_array_equal(reduced.free, np.arange(reduced.n_dofs))
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(8, 2), (32, 8), (64, 16)])
@@ -1006,30 +1017,23 @@ class TestBandCholesky:
 
     def test_band_is_none_without_a_mirror(self, rng):
         system, constraints = loaded_case(UNIAXIAL, MODIFIED, 0.3, PLANE_STRESS, (2, 2))
-        assert apply_constraints(system, UNSUPPORTED).band is not None
-        assert apply_constraints(system, constraints).band is None
+        assert apply_constraints(system, UNSUPPORTED).mirror is not None
+        assert apply_constraints(system, constraints).mirror is None
         system, constraints = loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (8, 2))
         moved = Constraints(constraints.dofs, np.where(constraints.dofs % 2, 0.0, 1e-6))
-        assert apply_constraints(system, moved).band is None
-        assert apply_constraints(make_system(4, 3, modified_set())[1], UNSUPPORTED).band is None
+        assert apply_constraints(system, moved).mirror is None
+        assert apply_constraints(make_system(4, 3, modified_set())[1], UNSUPPORTED).mirror is None
         cell = rng.normal(size=(8, 8))
         mesh, system = make_system(4, 2, modified_set())
-        assert apply_constraints(assemble(mesh, cell + cell.T), UNSUPPORTED).band is None
-        # and a system cannot carry one without the other
-        reduced = apply_constraints(system, UNSUPPORTED)
-        for field in ("mirror", "band"):
-            with pytest.raises(ValueError, match="together"):
-                dataclasses.replace(reduced, **{field: None})
+        assert apply_constraints(assemble(mesh, cell + cell.T), UNSUPPORTED).mirror is None
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize(
         "model,nu", [(MODIFIED, 0.3), (MODIFIED, 0.49), (BORN, 0.0), (BORN, 0.3)]
     )
-    def test_positive_definite_blocks_need_no_sparse_lu(self, monkeypatch, kind, model, nu):
+    def test_positive_definite_blocks_match_the_whole_factor(self, kind, model, nu):
         reduced = apply_constraints(*loaded_case(kind, model, nu, PLANE_STRESS, (128, 32)))
         u, _ = whole_factor_solve(reduced)
-
-        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
         for compute_inertia, inertia in ((True, (0, 0, reduced.matrix.shape[0])), (False, None)):
             solution = solve(reduced, compute_inertia=compute_inertia)
             np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
@@ -1037,21 +1041,15 @@ class TestBandCholesky:
             assert solution.inertia == inertia
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
-    def test_indefinite_blocks_need_no_sparse_lu(self, monkeypatch, kind):
+    def test_indefinite_blocks_match_the_whole_factor(self, kind):
         # LAPACK's band Cholesky rejects the blocks of Born past its threshold;
         # the tiled LDL^T factors them in the same band order
         reduced = apply_constraints(*loaded_case(kind, BORN, 0.45, PLANE_STRESS, (128, 32)))
         u, factor_nnz = whole_factor_solve(reduced)
-        pivots = splu(
-            reduced.matrix.tocsc(),
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        ).U.diagonal()
-
+        factor = mmd_factor(reduced)
+        np.testing.assert_array_equal(factor.perm_r, factor.perm_c)  # the pivot signs are the inertia
+        pivots = factor.U.diagonal()
         inertia = (int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
-
-        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
         for compute_inertia, expected in ((True, inertia), (False, None)):
             solution = solve(reduced, compute_inertia=compute_inertia)
             np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
@@ -1060,11 +1058,10 @@ class TestBandCholesky:
             assert solution.inertia == expected
 
     @pytest.mark.parametrize("model,nx,ny", [(BORN, 8, 8), (MODIFIED, 4, 2)])
-    def test_singular_blocks_raise_from_their_band_pivots(self, monkeypatch, model, nx, ny):
+    def test_singular_blocks_raise_from_their_band_pivots(self, model, nx, ny):
         # every block factors, and a rigid mode leaves a pivot near 1e-15 of the largest
         system = make_system(nx, ny, StiffnessSet(model, 2.0, 1.0, 3.0))[1]
         reduced = apply_constraints(system, UNSUPPORTED)
-        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
         for compute_inertia, inertia in ((True, eigenvalue_inertia(reduced.matrix)), (False, None)):
             with pytest.raises(SingularSystemError, match="zero pivot") as info:
                 solve(reduced, compute_inertia=compute_inertia)
@@ -1073,14 +1070,25 @@ class TestBandCholesky:
     @pytest.mark.parametrize(
         "model,nx,ny", [(BORN, 2, 2), (BORN, 4, 2), (MODIFIED, 2, 2), (MODIFIED, 8, 8)]
     )
-    def test_rejected_singular_blocks_fall_back_to_sparse_lu(self, monkeypatch, model, nx, ny):
+    def test_rejected_singular_blocks_raise_from_the_ldlt(self, monkeypatch, model, nx, ny):
         # LAPACK meets a pivot that is not positive in a block, and the
-        # tiled LDL^T a zero one
+        # tiled LDL^T a zero one: its verdict is final, and its pivots give
+        # the eigenvalue count
         mesh, system = make_system(nx, ny, StiffnessSet(model, 2.0, 1.0, 3.0))
         reduced = apply_constraints(system, UNSUPPORTED)
-        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
-        with pytest.raises(AssertionError, match="sparse LU called"):
-            solve(reduced, compute_inertia=False)
+        factored = []
+
+        def counted(ab):
+            factored.append(ab.shape)
+            return ldlt(ab)
+
+        ldlt = lsm2d.lattice._band_ldlt
+        monkeypatch.setattr(lsm2d.lattice, "_band_ldlt", counted)
+        for compute_inertia, inertia in ((True, eigenvalue_inertia(reduced.matrix)), (False, None)):
+            with pytest.raises(SingularSystemError, match="zero pivot") as info:
+                solve(reduced, compute_inertia=compute_inertia)
+            assert info.value.inertia == inertia
+        assert factored
 
     @pytest.mark.parametrize(
         "model,nu,nx,ny",
@@ -1090,10 +1098,10 @@ class TestBandCholesky:
         # meets the zero, and so do the whole factor's pivots
         + [(BORN, 0.3, 8, 8), (MODIFIED, 0.3, 2, 2), (MODIFIED, 0.3, 4, 2)]
         + [(MODIFIED, 0.3, 4, 4), (MODIFIED, 0.3, 8, 8), (MODIFIED, 0.3, 32, 32)]
-        # odd ny, no mirror: the whole factor alone
+        # odd ny, no mirror: the whole matrix is one block
         + [(model, nu, nx, ny) for model in lsm2d.MODELS for nu in (None, 0.3)
            for nx, ny in [(3, 3), (16, 15)]]
-        # the LU interchanges rows: no inertia, but its zero pivot still raises
+        # the whole LU interchanged rows on these and read no inertia
         + [(MODIFIED, None, 2, 1), (BORN, 0.49, 3, 3)],
     )
     @pytest.mark.parametrize("compute_inertia", [True, False])
@@ -1122,11 +1130,10 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("size", [(8, 2), (64, 16)], ids=["8x2", "64x16"])
-    def test_born_at_a_third_solves_without_the_inertia(self, monkeypatch, kind, size):
+    def test_born_at_a_third_solves_without_the_inertia(self, kind, size):
         # the load excites one block only, which the tiled LDL^T factors
         reduced = apply_constraints(*loaded_case(kind, BORN, 1.0 / 3.0, PLANE_STRAIN, size))
         u = solve(reduced).u
-        monkeypatch.setattr(lsm2d.lattice, "splu", no_splu)
         solution = solve(reduced, compute_inertia=False)
         assert solution.inertia is None
         np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
@@ -1159,7 +1166,7 @@ class TestBandCholesky:
         # numpy reports its buffers to tracemalloc; gathering the block's rows
         # at once peaked 12.5 MiB above the 67 MiB band
         reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (512, 128)))
-        block = _mirror_block(reduced, -1)
+        block = _band_block(reduced, -1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1190,13 +1197,13 @@ class TestBandCholesky:
             block = reduced.matrix.toarray()[np.ix_(rows, rows)]
             block[np.ix_(axis[rows], axis[rows])] *= 0.5
             ab = block_layout(reduced, s)[1]
-            u = ab.shape[0] - 1
-            assert ab.shape[1] == rows.size and ab.flags.f_contiguous
-            # ab[u - d, j] holds the entry (j - d, j) of the d-th superdiagonal
-            assert np.any(np.diagonal(block, u)) and not np.any(np.triu(block, u + 1))
+            u, n = ab.shape[0] - 1, rows.size
+            assert ab.shape[1] == n and ab.flags.f_contiguous
+            # ab[d, j] holds the entry (j + d, j) of the d-th subdiagonal
+            assert np.any(np.diagonal(block, -u)) and not np.any(np.tril(block, -u - 1))
             for d in range(u + 1):
-                np.testing.assert_array_equal(ab[u - d, d:], np.diagonal(block, d))
-                assert not np.any(ab[u - d, :d])
+                np.testing.assert_array_equal(ab[d, : n - d], np.diagonal(block, -d))
+                assert not np.any(ab[d, n - d :])
 
     @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
     @pytest.mark.parametrize("regime", REGIMES)
@@ -1256,6 +1263,24 @@ class TestBandCholesky:
         assert collections.Counter(built) == dict.fromkeys(set(built), 2)
         assert len(set(built)) == len(lsm2d.SLENDER_MESHES)
 
+    def test_a_square_plate_sweep_builds_its_layout_once_per_mesh(self, monkeypatch):
+        # no mirror: the whole matrix is one block, whose layout the stencil keeps too
+        built = []
+
+        def counted(matrix, *block):
+            built.append(matrix.shape[0])
+            return build(matrix, *block)
+
+        build = lsm2d.lattice._band_layout
+        monkeypatch.setattr(lsm2d.lattice, "_band_layout", counted)
+        for kind in (UNIAXIAL, PURE_SHEAR):
+            built.clear()
+            nus = (0.0, 0.3, 0.49)
+            sweep = lsm2d.sweep([(lsm2d.make_case(kind, nu), m) for m in lsm2d.MODELS for nu in nus])
+            assert all(None not in solutions for solutions, _ in sweep.runs)
+            # one build per mesh, whose free DOF counts differ
+            assert len(built) == len(set(built)) == len(sweep.meshes)
+
     def test_a_system_without_a_memo_solves_alike(self):
         # Born at 0.45: Cholesky rejects both blocks, and the LDL^T factors refills
         reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (16, 4)))
@@ -1267,7 +1292,6 @@ class TestBandCholesky:
             fixed_values=reduced.fixed_values,
             n_dofs=reduced.n_dofs,
             mirror=reduced.mirror,
-            band=reduced.band,
         )
         for compute_inertia in (True, False, True):
             expected = solve(reduced, compute_inertia=compute_inertia)
@@ -1280,13 +1304,13 @@ class TestBandCholesky:
 
 
 def band_storage(dense):
-    """LAPACK's upper band storage of a dense symmetric matrix, u its half-bandwidth."""
+    """LAPACK's lower band storage of a dense symmetric matrix, u its half-bandwidth."""
     n = dense.shape[0]
     return gathered_band_storage(scipy.sparse.csr_matrix(dense), np.arange(n), np.zeros(n, bool))
 
 
 class TestBandLDLT:
-    """The tiled LDL^T of a symmetric band matrix, in tiles of u rows."""
+    """The tiled LDL^T of a symmetric band matrix, in tiles of u rows (u + 1 below 2)."""
 
     @pytest.mark.parametrize(
         "u,zero_diagonal",
@@ -1308,7 +1332,8 @@ class TestBandLDLT:
             backward = np.linalg.norm(dense @ x - rhs) / (np.linalg.norm(dense) * np.linalg.norm(x))
             assert backward <= 1e-12, n
             # every tile keeps its factor and its coupling X_k = S_k^-1 C_k
-            b = max(ab.shape[0] - 1, 1)
+            u = ab.shape[0] - 1
+            b = u + (u < 2)
             tiles = [(min(b, n - r0), min(b, max(n - r0 - b, 0))) for r0 in range(0, n, b)]
             assert stored == sum(m * (m + next_m) for m, next_m in tiles)
 
@@ -1316,11 +1341,16 @@ class TestBandLDLT:
         dense = np.diag([2.0, 0.0, 3.0, 1.0]) + np.diag([0.0, 0.0, 1.0], 1)
         dense += np.triu(dense, 1).T
         assert _band_ldlt(band_storage(dense)) is None
-        # interchanges stay within a tile: 1x1 tiles of a zero diagonal are
-        # singular though the matrix (determinant 1) is not
+        # interchanges stay within a tile: a 2x2 pivot across the two tiles
+        # leaves the first singular though the matrix (determinant -1) is not
+        dense = np.diag([1.0, 0.0, 0.0, 1.0]) + np.diag([0.0, 1.0, 0.0], 1)
+        dense += np.triu(dense, 1).T
+        assert np.linalg.det(dense) == -1.0
+        assert _band_ldlt(band_storage(dense)) is None
+        # within one tile it forms: a zero-diagonal tridiagonal matrix (determinant 1)
         dense = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
         assert np.linalg.det(dense) == 1.0
-        assert _band_ldlt(band_storage(dense)) is None
+        assert _inertia(_band_ldlt(band_storage(dense))[2]) == (2, 0, 2)
         dense = np.eye(6)
         dense[0, 0] = np.inf
         assert _band_ldlt(band_storage(dense)) is None

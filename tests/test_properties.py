@@ -15,12 +15,11 @@ import pytest
 
 from lsm2d import (
     BORN,
-    CANTILEVER,
     CASE_KINDS,
     MODELS,
     MODIFIED,
+    PLANE_STRAIN,
     PLANE_STRESS,
-    PURE_BENDING,
     PURE_SHEAR,
     REGIMES,
     UNIAXIAL,
@@ -158,21 +157,30 @@ def test_factor_inertia_is_the_eigenvalue_count(rng, model, regime):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_tiled_inertia_is_the_eigenvalue_count(rng, regime):
-    # Born past its threshold on the mirror-symmetric plates: LAPACK's band
-    # Cholesky rejects the blocks, and the tiled LDL^T factors each in tiles
-    # of half-bandwidth rows, 5 a block on 8x2 to 24 on 32x8; its 1x1 and
-    # 2x2 pivots must count the eigenvalues over every tile
+    # Born past its threshold: LAPACK's band Cholesky rejects the blocks, and
+    # the tiled LDL^T factors each in tiles of half-bandwidth rows, its 1x1
+    # and 2x2 pivots counting the eigenvalues over every tile. The mirror
+    # plates split into two blocks, 5 rows a tile on 8x2 to 24 on 32x8; the
+    # square plates are one block, the whole matrix, 11 or 12 a tile on 4x4
+    # to 35 or 36 on 16x16. These are past their own thresholds from 0.39
+    # (plane stress) and 0.29 (plane strain), and in plane strain nu = 0.4,
+    # where k_n2 + k_s1 = 0, is drawn exactly
     threshold = 1.0 / 3.0 if regime == PLANE_STRESS else 0.25
+    square_threshold = 0.39 if regime == PLANE_STRESS else 0.29
     for nx in (8, 16, 24, 32):
-        size = (nx, nx // 4)
-        for nu in rng.uniform(threshold + 0.01, 0.499, size=2):
-            for kind in (PURE_BENDING, CANTILEVER):
+        for kind in CASE_KINDS:
+            square = kind in (UNIAXIAL, PURE_SHEAR)
+            size = (nx // 2, nx // 2) if square else (nx, nx // 4)
+            nus = list(rng.uniform(square_threshold if square else threshold + 0.01, 0.499, size=2))
+            if square and regime == PLANE_STRAIN:
+                nus.append(0.4)
+            for nu in nus:
                 case = make_case(kind, nu, regime=regime, mesh_sizes=(size,))
                 mesh = case_mesh(case, size)
                 forces = load_vector(mesh, case_loads(case), case.material.thickness)
                 values = stencil_values(cell_matrix(calibrate(case.material, BORN)))
                 reduced = reduce_stencil(mesh, forces, case_constraints(case, mesh)).fill(values)
-                assert reduced.mirror is not None
+                assert (reduced.mirror is None) == square
                 solution = solve(reduced)
                 subject = (kind, size, nu)
                 assert solution.inertia == eigenvalue_inertia(reduced.matrix), subject
