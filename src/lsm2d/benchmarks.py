@@ -186,7 +186,7 @@ def analytical_field(case: BenchmarkCase) -> FieldEvaluator:
 
         def field(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             u = M * y * (-x + 0.5 * L) / (E * inertia)
-            v = M * (nu * y * y + x * x - x * L) / (2.0 * E * inertia)
+            v = M * (nu * y * y + x * x - x * L) / (2.0 * (E * inertia))
             return u, v
 
         return field
@@ -197,18 +197,18 @@ def analytical_field(case: BenchmarkCase) -> FieldEvaluator:
     F = case.load
     a = case.length
     b = case.half_height
-    c0 = F / (4.0 * E * b**3)
+    c0 = F / (4.0 * (E * b**3))
     # weak end conditions fix the rigid-motion constants: the y-linear
     # coefficient is the full parenthesized expression below; a bare
     # extra -3Fa^2 y/(4Eb^3) term would leave constant shear stress on
     # the free faces, violating equilibrium
-    c1 = 3.0 * F * a * a / (4.0 * E * b**3) * (1.0 + (8.0 + 9.0 * nu) * b * b / (5.0 * a * a))
-    c3 = -F * a**3 / (2.0 * E * b**3) * (1.0 + (12.0 + 11.0 * nu) * b * b / (5.0 * a * a))
+    c1 = 3.0 * F * a * a / (4.0 * (E * b**3)) * (1.0 + (8.0 + 9.0 * nu) * b * b / (5.0 * a * a))
+    c3 = -F * a**3 / (2.0 * (E * b**3)) * (1.0 + (12.0 + 11.0 * nu) * b * b / (5.0 * a * a))
 
     def field(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = (
             3.0 * c0 * x * x * y
-            + 3.0 * F * (1.0 + nu) * y / (2.0 * E * b)
+            + 3.0 * F * (1.0 + nu) * y / (2.0 * (E * b))
             - c0 * (2.0 + nu) * y**3
             - c1 * y
         )
@@ -446,8 +446,8 @@ def sweep(runs: Sequence[tuple[BenchmarkCase, str]]) -> Sweep:
     therefore built once; each run then costs one fill of the stiffness
     values per mesh, a solve and the error evaluation. The systems one
     stencil fills share its memo of band layouts, so the first solve that
-    factors a block builds that block's layout and the other runs only
-    refill its band storage (see ``lattice._band_solver``).
+    factors a block builds that block's layout, and every solve fills its
+    band storage from it (see ``lattice._band_solver``).
 
     Solver failures (singular or irrecoverably ill-conditioned systems)
     are recorded per mesh rather than raised, since driving a model into

@@ -263,11 +263,12 @@ class ReducedSystem:
     too; ``fixed`` and ``fixed_values`` keep the eliminated data. A system
     built from a stencil lists its free DOFs by lines of particles across
     the shorter side of the block it is factored in (see ``_line_order``).
-    ``layouts`` maps a block's parity to its band layout (see
-    ``_band_solver``): the memo a ``ReducedStencil`` keeps, shared by every
-    system its ``fill`` returns, as their matrices share its pattern. A
-    system whose matrix has another pattern must not carry it; without a
-    memo (None) a solve builds the layouts it needs and keeps none.
+    ``layouts`` maps a block's parity to its band layout, from which every
+    band storage of the block is filled (see ``_band_solver``): the memo a
+    ``ReducedStencil`` keeps, shared by every system its ``fill`` returns,
+    as their matrices share its pattern. A system whose matrix has another
+    pattern must not carry it; without a memo (None) a solve builds the
+    layouts it needs and keeps none.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -293,9 +294,9 @@ class Solution:
         indefinite: True when the reduced matrix has negative pivots.
         factor_nnz: values the band factors computed store, summed:
             (half-bandwidth + 1) x size for a band Cholesky, and for a tiled
-            LDL^T each tile's factor and its coupling to the next tile,
-            b x b each in tiles of b = half-bandwidth rows (one more below
-            2).
+            LDL^T each tile's factor and its coupling to the next tile, in
+            tiles of b = half-bandwidth rows (one more below 2): b x b each,
+            but the last tile is shorter and has no coupling.
     """
 
     u: np.ndarray
@@ -540,7 +541,7 @@ class ReducedStencil:
     only, which ``fill`` moves to the right-hand side. ``pattern.layouts``
     is the memo of its blocks' band layouts, which every system ``fill``
     returns shares: a sweep over value tables builds each block's layout
-    once.
+    once, and each solve fills its band storage from that layout.
     """
 
     pattern: ReducedSystem
@@ -633,7 +634,9 @@ class _BandLayout:
     def storage(self, data: np.ndarray) -> np.ndarray:
         """The block's band storage ab[i - j, j] = a[i, j] for the matrix data ``data``.
 
-        A refill: at 512x128 it takes 1 MiB beside the 67 MiB storage.
+        Every band storage is filled here, the first one too: zeroed, one
+        scatter of the values, the axis-axis entries halved. At 512x128 it
+        takes 1 MiB beside the 67 MiB storage.
         """
         ab = np.zeros((self.u + 1, self.rows.size), order="F")
         flat = ab.ravel(order="K")
@@ -648,16 +651,15 @@ class _BandLayout:
 
 def _band_layout(
     matrix: scipy.sparse.csr_matrix, rows: np.ndarray, image: np.ndarray, sign: np.ndarray
-) -> tuple[_BandLayout, np.ndarray]:
-    """The band layout of the block ``matrix[rows][:, rows]``, and the block's band storage.
+) -> _BandLayout:
+    """The band layout of the block ``matrix[rows][:, rows]``; it fills no storage.
 
     The matrix is symmetric to the bit, so row k's entries right of the
     diagonal are column k's below it. The block's rows, in chunks of
     ``_BAND_CHUNK``, give those entries and their columns j; the largest
-    j - k is the half-bandwidth u. Then each entry's flat position in the
-    Fortran-ordered storage follows and fills it, a chunk at a time, and
-    each chunk's columns are freed. At 512x128 this takes 3.9 MiB beside the
-    67 MiB storage and the layout's 4.7 MiB of positions.
+    j - k is the half-bandwidth u. Then each chunk's flat positions in the
+    Fortran-ordered storage follow, and its columns are freed. At 512x128
+    this takes 5.4 MiB beside the layout's 4.7 MiB of positions.
     """
     n, indptr = rows.size, matrix.indptr
     position = np.full(matrix.shape[1], -1, dtype=matrix.indices.dtype)  # -1: outside the block
@@ -676,9 +678,8 @@ def _band_layout(
         chunks.append([np.take(a, right) for a in (entry, k, j)])
         del k, j, right  # freed before the next chunk is gathered
     u = max((int(np.max(j - k, initial=0)) for _, k, j in chunks), default=0)
-    ab = np.zeros((u + 1, n), order="F")
-    storage = ab.ravel(order="K")  # ab[j - k, k] is storage[(u + 1) k + j - k]
-    index = np.int32 if ab.size < 2**31 else np.int64
+    # ab[j - k, k] is element u k + j of the flat (u + 1, n) storage
+    index = np.int32 if (u + 1) * n < 2**31 else np.int64
     on_axis, flats, entries, halved = sign == 0, [], [], []
     for gathered in chunks:
         entry, k, j = gathered
@@ -688,15 +689,13 @@ def _band_layout(
         flat += j
         gathered.clear()  # frees j
         del k, j
-        storage[flat] = np.take(matrix.data, entry)
         halved.append(flat[both])
-        storage[halved[-1]] *= 0.5
         flats.append(flat)
         entries.append(entry)
     flat = np.concatenate(flats)
     del flats  # freed before the entries are joined
     entry, halved = np.concatenate(entries), np.concatenate(halved)
-    return _BandLayout(rows, image, sign, u, flat, entry, halved), ab
+    return _BandLayout(rows, image, sign, u, flat, entry, halved)
 
 
 def _band_ldlt(ab: np.ndarray):
@@ -779,7 +778,7 @@ def _band_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray,
 
 def _band_solver(
     reduced: ReducedSystem, full: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int, np.ndarray]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], int, np.ndarray]:
     """Band solver through the blocks of the reduced matrix, with its pivots.
 
     With a mirror, a field of parity s = +-1 has u[m(i)] = s sigma_i u[i],
@@ -791,14 +790,16 @@ def _band_solver(
     excites: by LAPACK's band Cholesky or, where that meets a pivot that is
     not positive, by the tiled LDL^T (``_band_ldlt``) of the block filled
     again. A block's band layout (``_BandLayout``) is built on the first
-    solve that factors it, by the pass that fills its first band storage,
-    and kept in ``reduced.layouts``, the memo every system filled from one
-    ``ReducedStencil`` shares: their later solves only fill the storage.
-    The solver comes with the values its factors store and the pivots
-    (squared diagonals of a Cholesky factor, D's eigenvalues of an LDL^T)
-    of every factor completed; those of all blocks give the inertia, as
-    the blocks together are congruent to the reduced matrix. It is None
-    when an LDL^T fails.
+    solve that factors it and kept in ``reduced.layouts``, the memo every
+    system filled from one ``ReducedStencil`` shares; every band storage,
+    the first included, is filled from it. The solver comes with the values
+    its factors store and the pivots (squared diagonals of a Cholesky
+    factor, D's eigenvalues of an LDL^T) of every factor; those of all
+    blocks give the inertia, as the blocks together are congruent to the
+    reduced matrix.
+
+    Raises:
+        SingularSystemError: an LDL^T that fails (see ``_band_ldlt``).
     """
     data = reduced.matrix.data
     layouts = {} if reduced.layouts is None else reduced.layouts
@@ -813,10 +814,8 @@ def _band_solver(
         if not (rows.size and (full or np.any(reduced.rhs[rows] + sign * reduced.rhs[image]))):
             continue
         if layout is None:
-            layout, ab = _band_layout(reduced.matrix, rows, image, sign)
-            layouts[s] = layout
-        else:
-            ab = layout.storage(data)
+            layout = layouts[s] = _band_layout(reduced.matrix, rows, image, sign)
+        ab = layout.storage(data)
         try:
             factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
             solve_block = partial(cho_solve_banded, (factor, True), check_finite=False)
@@ -825,7 +824,10 @@ def _band_solver(
             del ab  # overwritten by the failed factor: filled again
             ldlt = _band_ldlt(layout.storage(data))
             if ldlt is None:
-                return None, stored, pivots
+                raise SingularSystemError(
+                    "stiffness matrix is singular: zero pivot or a value that is not finite "
+                    "in its LDL^T"
+                ) from None
             solve_block, size, block_pivots = ldlt
         pivots, stored = np.concatenate([pivots, block_pivots]), stored + size
         blocks.append((rows, image, sign, solve_block))
@@ -874,10 +876,6 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """
     rhs_norm = float(np.linalg.norm(reduced.rhs))
     apply, factor_nnz, pivots = _band_solver(reduced, compute_inertia or not np.any(reduced.rhs))
-    if apply is None:
-        raise SingularSystemError(
-            "stiffness matrix is singular: zero pivot or a value that is not finite in its LDL^T"
-        )
     counts = _inertia(pivots)
     inertia = counts if compute_inertia else None
     if counts[1]:

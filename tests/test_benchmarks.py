@@ -288,6 +288,18 @@ def test_relative_l2_keeps_its_bits_under_any_power_of_two(rng, power):
     assert _relative_l2(np.zeros(3), np.zeros(3)) == 0.0
 
 
+@pytest.mark.parametrize("kind", [PURE_BENDING, CANTILEVER])
+@pytest.mark.parametrize("regime", [PLANE_STRESS, PLANE_STRAIN])
+def test_errors_hold_at_a_young_modulus_near_the_float_maximum(kind, regime):
+    # 2E and 4E overflow at E = 1e308: the reference scales E's products instead
+    meshes = ((8, 2), (16, 4))
+    default, huge = (
+        run_case(make_case(kind, 0.3, regime, young_modulus=E, mesh_sizes=meshes), MODIFIED)[1]
+        for E in (2e11, 1e308)
+    )
+    np.testing.assert_allclose(huge.errors(), default.errors(), rtol=1e-9)
+
+
 class TestAffineExactness:
     @pytest.mark.parametrize("model", [BORN, MODIFIED])
     def test_uniaxial_exact_at_every_particle(self, model):

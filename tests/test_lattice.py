@@ -970,7 +970,7 @@ def block_rows(reduced, s):
 
 
 def block_layout(reduced, s):
-    """The band layout of the mirror block of parity s, and the storage its build fills."""
+    """The band layout of the mirror block of parity s."""
     return _band_layout(reduced.matrix, *_band_block(reduced, s))
 
 
@@ -1090,6 +1090,17 @@ class TestBandCholesky:
             assert info.value.inertia == inertia
         assert factored
 
+    @pytest.mark.parametrize("kind,size", [(UNIAXIAL, (4, 4)), (CANTILEVER, (16, 4))])
+    def test_a_failed_ldlt_raises_where_it_fails(self, monkeypatch, kind, size):
+        # Born at 0.45: Cholesky rejects a block, and an LDL^T that fails
+        # leaves no solver and no inertia
+        reduced = apply_constraints(*loaded_case(kind, BORN, 0.45, PLANE_STRESS, size))
+        monkeypatch.setattr(lsm2d.lattice, "_band_ldlt", lambda ab: None)
+        for full in (True, False):
+            with pytest.raises(SingularSystemError, match="not finite in its LDL") as info:
+                lsm2d.lattice._band_solver(reduced, full)
+            assert info.value.inertia is None
+
     @pytest.mark.parametrize(
         "model,nu,nx,ny",
         [(BORN, None, 2, 2), (BORN, None, 4, 2), (BORN, None, 8, 8)]
@@ -1142,8 +1153,7 @@ class TestBandCholesky:
     @pytest.mark.parametrize("size", [(256, 64), (512, 128)], ids=["256x64", "512x128"])
     def test_band_storage_matches_the_gathered_block(self, kind, size):
         # many chunks at 512x128; the dense check below cannot reach these sizes.
-        # The first model's storage comes from the layout's build, the second's
-        # from a refill of the same layout
+        # Both models' storages are filled from one layout, built for the first
         system, constraints = loaded_case(kind, MODIFIED, 0.3, PLANE_STRESS, size)
         stencil = reduce_stencil(system.mesh, system.forces, constraints)
         layouts = {}
@@ -1153,10 +1163,9 @@ class TestBandCholesky:
             axis = reduced.mirror == np.arange(reduced.free.size)
             for s in (1, -1):
                 rows = block_rows(reduced, s)
-                if s in layouts:
-                    ab = layouts[s].storage(reduced.matrix.data)
-                else:
-                    layouts[s], ab = block_layout(reduced, s)
+                if s not in layouts:
+                    layouts[s] = block_layout(reduced, s)
+                ab = layouts[s].storage(reduced.matrix.data)
                 np.testing.assert_array_equal(layouts[s].rows, rows)
                 expected = gathered_band_storage(reduced.matrix, rows, axis[rows])
                 assert ab.flags.f_contiguous and ab.shape == expected.shape
@@ -1170,9 +1179,8 @@ class TestBandCholesky:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layout, ab = _band_layout(reduced.matrix, *block)
+            layout = _band_layout(reduced.matrix, *block)
             build_peak = tracemalloc.get_traced_memory()[1] - before
-            del ab
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             ab = layout.storage(reduced.matrix.data)
@@ -1181,8 +1189,8 @@ class TestBandCholesky:
             tracemalloc.stop()
         built = sum(a.nbytes for a in (layout.flat, layout.entry, layout.halved))
         size = built + sum(a.nbytes for a in block)
-        # the build keeps its layout and takes little beside it and the storage
-        assert build_peak - ab.nbytes - built <= 0.1 * ab.nbytes
+        # the build keeps its layout, allocates no storage and takes little beside
+        assert build_peak - built <= 0.1 * ab.nbytes
         assert size <= 0.1 * ab.nbytes
         assert refill_peak - ab.nbytes <= 0.1 * ab.nbytes
 
@@ -1196,7 +1204,7 @@ class TestBandCholesky:
             rows = block_rows(reduced, s)
             block = reduced.matrix.toarray()[np.ix_(rows, rows)]
             block[np.ix_(axis[rows], axis[rows])] *= 0.5
-            ab = block_layout(reduced, s)[1]
+            ab = block_layout(reduced, s).storage(reduced.matrix.data)
             u, n = ab.shape[0] - 1, rows.size
             assert ab.shape[1] == n and ab.flags.f_contiguous
             # ab[d, j] holds the entry (j + d, j) of the d-th subdiagonal
@@ -1205,13 +1213,17 @@ class TestBandCholesky:
                 np.testing.assert_array_equal(ab[d, : n - d], np.diagonal(block, -d))
                 assert not np.any(ab[d, n - d :])
 
-    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER, UNIAXIAL, PURE_SHEAR])
     @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.parametrize("size", [(8, 2), (16, 4), (32, 8), (64, 16)])
     def test_every_factored_storage_is_the_gathered_block(self, monkeypatch, kind, regime, size):
         # four systems share one stencil: the first solve builds each block's
-        # layout, the others refill it, and a block Cholesky rejects (Born at
-        # 0.45, and at 0.3 in plane strain) is filled again for the LDL^T
+        # layout, every solve fills its storage from it, and a block Cholesky
+        # rejects (Born at 0.45, and at 0.3 in plane strain) is filled again
+        # for the LDL^T. The square plates have no mirror: their one block is
+        # the whole matrix, every entry halved
+        if kind in (UNIAXIAL, PURE_SHEAR):
+            size = (size[1], size[1])
         factored = []
         cholesky, ldlt = lsm2d.lattice.cholesky_banded, lsm2d.lattice._band_ldlt
 
@@ -1230,20 +1242,26 @@ class TestBandCholesky:
             for nu in (0.3, 0.45):
                 stiffness = calibrate(Material(2e11, nu, 0.01, regime), model)
                 reduced = stencil.fill(stencil_values(cell_matrix(stiffness)))
-                axis = reduced.mirror == np.arange(reduced.free.size)
+                n = reduced.free.size
+                assert (reduced.mirror is None) == (kind in (UNIAXIAL, PURE_SHEAR))
+                # each block's rows and which of them are axis DOFs, in factoring order
+                blocks = {0: (np.arange(n), np.ones(n, bool))}
+                if reduced.mirror is not None:
+                    axis = reduced.mirror == np.arange(n)
+                    rows = {s: block_rows(reduced, s) for s in (1, -1)}
+                    blocks = {s: (rows[s], axis[rows[s]]) for s in rows}
                 factored.clear()
                 solve(reduced)
-                blocks = iter((1, -1))
+                order = iter(blocks)
                 for name, ab in factored:
                     # an LDL^T factors the block whose Cholesky failed just before
-                    s = next(blocks) if name == "cholesky" else s
-                    rows = block_rows(reduced, s)
-                    expected = gathered_band_storage(reduced.matrix, rows, axis[rows])
+                    s = next(order) if name == "cholesky" else s
+                    expected = gathered_band_storage(reduced.matrix, *blocks[s])
                     assert ab.flags.f_contiguous and np.array_equal(ab, expected), (model, nu, s)
-                assert [name for name, _ in factored].count("cholesky") == 2
+                assert [name for name, _ in factored].count("cholesky") == len(blocks)
                 past_threshold = model == BORN and (nu == 0.45 or regime == PLANE_STRAIN)
                 assert ("ldlt" in dict(factored)) == past_threshold
-        assert set(reduced.layouts) == {1, -1}
+        assert set(reduced.layouts) == set(blocks)
 
     def test_a_sweep_builds_each_block_layout_once_per_mesh(self, monkeypatch):
         built = []
