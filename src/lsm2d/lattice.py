@@ -37,14 +37,12 @@ are the inertia.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import dsymm
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri, dsytrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytrf_lwork, dsytri, dsytrs
 
 from .cell import _POSITIONS
 
@@ -62,10 +60,10 @@ def _is_integer(value) -> bool:
 class SingularSystemError(RuntimeError):
     """Reduced system is singular or could not be solved to the required residual.
 
-    A zero pivot of the band factors raises it (see ``solve``). ``inertia``
-    is read from the failed factorization's pivots; None if not requested or
-    if a tiled LDL^T failed, on an exactly zero pivot or a value that is not
-    finite.
+    A zero pivot of the band factors raises it (see ``solve``), and so does
+    a tiled LDL^T that meets an exactly zero pivot or a value that is not
+    finite (see ``_band_ldlt``). ``inertia`` is read from the failed
+    factorization's pivots; None if not requested or if a tiled LDL^T failed.
     """
 
     def __init__(self, message: str, inertia: tuple[int, int, int] | None = None):
@@ -388,7 +386,9 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
     block of every corner pair (I, J) with I in the mask and J at offset
     (dx, dy) from I: the contribution of each cell around the particle.
     The table starts at -0.0, the additive identity, so a single
-    contribution keeps its sign of zero.
+    contribution keeps its sign of zero. A sum may overflow to inf (or
+    inf - inf to NaN) without a warning: a slot the mesh never uses does no
+    harm, and ``ReducedStencil.fill`` rejects a matrix that uses one.
     """
     cell_matrix = np.asarray(cell_matrix, dtype=float)
     if cell_matrix.shape != (8, 8):
@@ -396,10 +396,11 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
     blocks = cell_matrix.reshape(4, 2, 4, 2)  # [I, a, J, b]
     values = np.full((16, 3, 2, 3, 2), -0.0)
     masks = np.arange(16)
-    for role, (ax, ay) in enumerate(_POSITIONS):
-        with_role = masks[(masks >> role) & 1 == 1]
-        for corner, (bx, by) in enumerate(_POSITIONS):
-            values[with_role, by - ay + 1, :, bx - ax + 1, :] += blocks[role, :, corner, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for role, (ax, ay) in enumerate(_POSITIONS):
+            with_role = masks[(masks >> role) & 1 == 1]
+            for corner, (bx, by) in enumerate(_POSITIONS):
+                values[with_role, by - ay + 1, :, bx - ax + 1, :] += blocks[role, :, corner, :]
     return values.ravel()
 
 
@@ -548,12 +549,22 @@ class ReducedStencil:
     coupling: scipy.sparse.csr_matrix | None
 
     def fill(self, values: np.ndarray) -> ReducedSystem:
+        """The reduced system of the value table ``values``.
+
+        Raises:
+            ValueError: the filled matrix or right-hand side is not finite,
+                as where a stiffness near the float maximum overflows in a
+                slot the mesh uses (see ``stencil_values``).
+        """
         rhs = self.pattern.rhs
         if self.coupling is not None:
             rhs = rhs - _fill(self.coupling, values) @ self.pattern.fixed_values
+        matrix = _fill(self.pattern.matrix, values)
+        if not (np.isfinite(matrix.data).all() and np.isfinite(rhs).all()):
+            raise ValueError("reduced stiffness matrix or right-hand side is not finite (overflow)")
         return replace(
             self.pattern,
-            matrix=_fill(self.pattern.matrix, values),
+            matrix=matrix,
             rhs=rhs,
             mirror=self.pattern.mirror if _mirror_symmetric(values) else None,
         )
@@ -619,8 +630,11 @@ class _BandLayout:
     folded field: 0 on the axis, else the parity of the DOF. Entry
     ``entry[i]`` of the matrix's data lands at ``flat[i]`` of the
     Fortran-ordered (u + 1, rows.size) storage, and the entries at
-    ``halved``, between two axis DOFs, count half. Every index depends on
-    the pattern alone, so one layout serves every matrix of a stencil.
+    ``halved``, between two axis DOFs, count half. In a block of axis DOFs
+    alone (every system without a mirror) that is every entry, and
+    ``halved`` is ``slice(None)``, the whole storage, not a copy of
+    ``flat``. Every index depends on the pattern alone, so one layout serves
+    every matrix of a stencil.
     """
 
     rows: np.ndarray
@@ -629,14 +643,16 @@ class _BandLayout:
     u: int
     flat: np.ndarray
     entry: np.ndarray
-    halved: np.ndarray
+    halved: np.ndarray | slice
 
     def storage(self, data: np.ndarray) -> np.ndarray:
         """The block's band storage ab[i - j, j] = a[i, j] for the matrix data ``data``.
 
         Every band storage is filled here, the first one too: zeroed, one
-        scatter of the values, the axis-axis entries halved. At 512x128 it
-        takes 1 MiB beside the 67 MiB storage.
+        scatter of the values, the axis-axis entries halved, by a second
+        scatter or, in a block of axis DOFs alone, one scale of the whole
+        storage in place (its zero padding stays +0). At 512x128 it takes
+        1 MiB beside the 67 MiB storage.
         """
         ab = np.zeros((self.u + 1, self.rows.size), order="F")
         flat = ab.ravel(order="K")
@@ -680,22 +696,46 @@ def _band_layout(
     u = max((int(np.max(j - k, initial=0)) for _, k, j in chunks), default=0)
     # ab[j - k, k] is element u k + j of the flat (u + 1, n) storage
     index = np.int32 if (u + 1) * n < 2**31 else np.int64
-    on_axis, flats, entries, halved = sign == 0, [], [], []
+    # a block of axis DOFs alone halves every entry: its whole storage
+    on_axis = None if np.all(sign == 0) else sign == 0
+    flats, entries, halved = [], [], []
     for gathered in chunks:
         entry, k, j = gathered
-        both = np.take(on_axis, k) & np.take(on_axis, j)
+        if on_axis is not None:
+            both = np.take(on_axis, k) & np.take(on_axis, j)
         flat = k.astype(index, copy=False)  # in place where it can: k is not read again
         flat *= u
         flat += j
         gathered.clear()  # frees j
         del k, j
-        halved.append(flat[both])
+        if on_axis is not None:
+            halved.append(flat[both])
         flats.append(flat)
         entries.append(entry)
     flat = np.concatenate(flats)
     del flats  # freed before the entries are joined
-    entry, halved = np.concatenate(entries), np.concatenate(halved)
+    entry = np.concatenate(entries)
+    halved = slice(None) if on_axis is None else np.concatenate(halved)
     return _BandLayout(rows, image, sign, u, flat, entry, halved)
+
+
+def _band_cholesky(ab: np.ndarray):
+    """LAPACK's band Cholesky (``dpbtrf``) of the band in lower storage, in place.
+
+    Returns the block's solver (``dpbtrs``), the values its factor stores and
+    its pivots, the squared diagonal of the factor; None where ``dpbtrf``
+    meets a pivot that is not positive (info > 0). The rejected storage is
+    then referenced nowhere and is freed on return.
+
+    Raises:
+        ValueError: ``dpbtrf`` reports an illegal argument (info < 0).
+    """
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    if info:
+        return None
+    return lambda rhs: dpbtrs(factor, rhs, lower=1)[0], factor.size, factor[0] ** 2
 
 
 def _band_ldlt(ab: np.ndarray):
@@ -710,8 +750,12 @@ def _band_ldlt(ab: np.ndarray):
     right-hand sides, so a = L D L^T with D the S_k. Returns the block's
     solver, the values its factors store and its pivots (the eigenvalues of
     every 1x1 and 2x2 block of the tiles' D, whose signs by Sylvester's law
-    are the band's inertia); None on an exactly zero pivot or a value that
-    is not finite.
+    are the band's inertia).
+
+    Raises:
+        SingularSystemError: ``dsytrf`` meets an exactly zero pivot (info >
+            0), or a factor or coupling holds a value that is not finite; its
+            ``inertia`` is None.
     """
     u, n = ab.shape[0] - 1, ab.shape[1]
     b, step = u + (u < 2), ab.itemsize
@@ -732,7 +776,10 @@ def _band_ldlt(ab: np.ndarray):
         c[outside[: r1 - r0, : c.shape[1]]] = 0.0
         x = dsymm(1.0, dsytri(ldu, ipiv)[0], c)
         if info or not (np.isfinite(ldu).all() and np.isfinite(x).all()):
-            return None
+            raise SingularSystemError(
+                "stiffness matrix is singular: zero pivot or a value that is not finite "
+                "in its LDL^T"
+            )
         tiles.append((r0, r1, ldu, ipiv, x))
         diagonal[r0:r1], above[r0 + 1 : r1] = ldu.diagonal(), ldu.diagonal(1)
     ipiv = np.concatenate([ipiv for _, _, _, ipiv, _ in tiles])
@@ -787,9 +834,10 @@ def _band_solver(
     moving axis DOFs, axis-axis entries halved. Without a mirror the one
     block (s = 0) is the whole matrix. In the reduced order each block is a
     band matrix. Every block is factored, or only those the right-hand side
-    excites: by LAPACK's band Cholesky or, where that meets a pivot that is
-    not positive, by the tiled LDL^T (``_band_ldlt``) of the block filled
-    again. A block's band layout (``_BandLayout``) is built on the first
+    excites: by LAPACK's band Cholesky (``_band_cholesky``) or, where its
+    info reports a pivot that is not positive, by the tiled LDL^T
+    (``_band_ldlt``) of the block filled again, once the rejected storage is
+    freed. A block's band layout (``_BandLayout``) is built on the first
     solve that factors it and kept in ``reduced.layouts``, the memo every
     system filled from one ``ReducedStencil`` shares; every band storage,
     the first included, is filled from it. The solver comes with the values
@@ -800,6 +848,7 @@ def _band_solver(
 
     Raises:
         SingularSystemError: an LDL^T that fails (see ``_band_ldlt``).
+        ValueError: ``dpbtrf`` reports an illegal argument.
     """
     data = reduced.matrix.data
     layouts = {} if reduced.layouts is None else reduced.layouts
@@ -815,20 +864,9 @@ def _band_solver(
             continue
         if layout is None:
             layout = layouts[s] = _band_layout(reduced.matrix, rows, image, sign)
-        ab = layout.storage(data)
-        try:
-            factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-            solve_block = partial(cho_solve_banded, (factor, True), check_finite=False)
-            size, block_pivots = factor.size, factor[0] ** 2
-        except LinAlgError:
-            del ab  # overwritten by the failed factor: filled again
-            ldlt = _band_ldlt(layout.storage(data))
-            if ldlt is None:
-                raise SingularSystemError(
-                    "stiffness matrix is singular: zero pivot or a value that is not finite "
-                    "in its LDL^T"
-                ) from None
-            solve_block, size, block_pivots = ldlt
+        # a storage the Cholesky rejects is freed before the LDL^T's is filled
+        factored = _band_cholesky(layout.storage(data)) or _band_ldlt(layout.storage(data))
+        solve_block, size, block_pivots = factored
         pivots, stored = np.concatenate([pivots, block_pivots]), stored + size
         blocks.append((rows, image, sign, solve_block))
 
@@ -852,7 +890,7 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     load is zero, else only the blocks the load excites (one, for the odd
     loads of the bending and cantilever plates); any other system as one
     block, its whole matrix. A positive definite block takes LAPACK's band
-    Cholesky (``scipy.linalg.cholesky_banded``), any other a tiled LDL^T
+    Cholesky (``dpbtrf`` and ``dpbtrs``), any other a tiled LDL^T
     with Bunch-Kaufman pivots inside each tile, whose verdict is final. One
     rule reads the pivots of the factors: a zero pivot (see ``_inertia``)
     marks a rigid mode and raises, also under a zero load, and the signs

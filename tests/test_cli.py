@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -298,8 +299,8 @@ class TestBenchmarkCommand:
 
     def test_zero_pivot_exits_3_with_the_inertia(self, tmp_path, monkeypatch, capsys):
         # without its supports the Born nu = 0.45 plate keeps its two rigid
-        # translations: the tiled LDL^T meets a zero pivot, and so does the
-        # whole LU, whose inertia the row records
+        # translations: the tiled LDL^T meets a zero pivot among those it
+        # reads, and the row records their inertia
         monkeypatch.setattr(
             "lsm2d.benchmarks.case_constraints", lambda case, mesh: Constraints.from_pairs([])
         )
@@ -361,19 +362,20 @@ class TestBenchmarkCommand:
         # an unstable Born row whose inertia is not known must not pass for a
         # verified-stable one: a tiled LDL^T that fails leaves no inertia. The
         # uniaxial plate is one block, which band Cholesky rejects (its
-        # inertia is (1, 0, 11) on 2x2)
-        monkeypatch.setattr(lattice_module, "_band_ldlt", lambda ab: None)
+        # inertia is (1, 0, 11) on 2x2), and dsytrf here reports a zero pivot
+        dsytrf = lattice_module.dsytrf
+        monkeypatch.setattr(lattice_module, "dsytrf", lambda *a, **k: (*dsytrf(*a, **k)[:2], 1))
         assert convergence(tmp_path / "none", "uniaxial", "born", "0.49", "2x2") == 3
         _, rows = read_table(tmp_path / "none" / "convergence_uniaxial.csv")
         assert (rows[0]["negative_pivots"], rows[0]["indefinite"]) == ("0", "false")
         assert (rows[0]["failed"], rows[0]["inertia_source"]) == ("true", "unknown")
 
     def test_inertia_source_unknown_when_the_ldlt_fails(self, tmp_path, monkeypatch):
-        def rejected(*args, **kwargs):
-            raise lattice_module.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(lattice_module, "cholesky_banded", rejected)
-        monkeypatch.setattr(lattice_module, "_band_ldlt", lambda ab: None)
+        # LAPACK reports both failures: dpbtrf a pivot that is not positive,
+        # dsytrf a zero pivot
+        dsytrf = lattice_module.dsytrf
+        monkeypatch.setattr(lattice_module, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+        monkeypatch.setattr(lattice_module, "dsytrf", lambda *a, **k: (*dsytrf(*a, **k)[:2], 1))
         assert main(
             [
                 "benchmark",
@@ -426,8 +428,8 @@ class TestSweep:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
         assert manifest["files"] == fields + ["errors_bending.csv"]
 
-    # the bending plate's u_analytical holds -0; the shear plate, factored by
-    # the sparse LU, has v_analytical 0 throughout
+    # the bending plate's u_analytical holds -0; the shear plate, one block
+    # without a mirror, has v_analytical 0 throughout
     @pytest.mark.parametrize(
         "name,kind,meshes",
         [("bending", PURE_BENDING, "8x2,16x4"), ("shear", PURE_SHEAR, "2x2,4x4")],
@@ -708,6 +710,31 @@ class TestExitCodes:
         cfg.write_text("material.E = nan\n", encoding="utf-8")
         assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "calibration.csv").exists()
+
+    # E, t and the stiffnesses are finite, but a particle's sum of cell
+    # contributions overflows to inf
+    OVERFLOW = ["--model", "modified", "--nu", "0.3", "--thickness", "0.9"]
+
+    def test_a_stiffness_that_overflows_is_a_usage_error(self, tmp_path, capsys):
+        # the filled matrix is not finite: no solve may read it as singular
+        argv = ["convergence", "--case", "uniaxial", "--mesh", "2x2", "--E", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + self.OVERFLOW + ["--out", str(tmp_path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_sum_the_plate_does_not_use_may_overflow(self, tmp_path):
+        # the eigen command's one-cell plate takes single contributions only:
+        # its spectrum is the default modulus's
+        spectra = {}
+        for E in ("1e308", "2e11"):
+            out = tmp_path / E
+            argv = ["eigen", "--case", "cantilever", "--E", E, "--out", str(out)]
+            assert main(argv + self.OVERFLOW) == 0
+            _, [row] = read_table(out / "constrained_spectrum.csv")
+            spectra[E] = [float(row[f"lambda_{i}"]) for i in range(1, 5)]
+        np.testing.assert_allclose(spectra["1e308"], spectra["2e11"], rtol=1e-12)
 
     def test_incompatible_mesh_is_usage_error(self, tmp_path):
         code = main(

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,29 @@ class TestReducedStencil:
             reduce_stencil(mesh, np.zeros(mesh.n_dofs + 2), pinned)
         with pytest.raises(ValueError):
             reduce_stencil(mesh, np.zeros(mesh.n_dofs), Constraints.from_pairs([(mesh.n_dofs, 0.0)]))
+
+    def test_fill_rejects_a_matrix_or_load_that_is_not_finite(self):
+        # finite stiffnesses near the float maximum: the table's sums of
+        # several cells overflow, silently, while single contributions stay
+        # finite, and a plate of one cell uses only those
+        material = Material(1e308, 0.3, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = stencil_values(cell_matrix(calibrate(material, MODIFIED)))
+        assert not np.isfinite(values).all()
+        for nx, ny, finite in ((1, 1, True), (2, 2, False)):
+            mesh = build_mesh(LatticeSpec(nx, ny, 1.0))
+            pinned = Constraints.from_pairs(fix_nodes([0], "xy"))
+            stencil = reduce_stencil(mesh, np.zeros(mesh.n_dofs), pinned)
+            if finite:
+                assert np.isfinite(stencil.fill(values).matrix.data).all()
+            else:
+                with pytest.raises(ValueError, match="not finite"):
+                    stencil.fill(values)
+        forces = np.zeros(mesh.n_dofs)
+        forces[-1] = np.inf
+        with pytest.raises(ValueError, match="not finite"):
+            reduce_stencil(mesh, forces, pinned).fill(stencil_values(cell_matrix(born_set())))
 
     def test_filled_matrices_share_no_arrays(self):
         mesh = build_mesh(LatticeSpec(3, 2, 1.0))
@@ -1092,14 +1116,45 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kind,size", [(UNIAXIAL, (4, 4)), (CANTILEVER, (16, 4))])
     def test_a_failed_ldlt_raises_where_it_fails(self, monkeypatch, kind, size):
-        # Born at 0.45: Cholesky rejects a block, and an LDL^T that fails
-        # leaves no solver and no inertia
+        # Born at 0.45: dpbtrf rejects a block, and dsytrf that reports a
+        # zero pivot leaves no solver and no inertia
         reduced = apply_constraints(*loaded_case(kind, BORN, 0.45, PLANE_STRESS, size))
-        monkeypatch.setattr(lsm2d.lattice, "_band_ldlt", lambda ab: None)
+        dsytrf = lsm2d.lattice.dsytrf
+        monkeypatch.setattr(lsm2d.lattice, "dsytrf", lambda *a, **k: (*dsytrf(*a, **k)[:2], 1))
         for full in (True, False):
             with pytest.raises(SingularSystemError, match="not finite in its LDL") as info:
                 lsm2d.lattice._band_solver(reduced, full)
             assert info.value.inertia is None
+        for compute_inertia in (True, False):
+            with pytest.raises(SingularSystemError, match="not finite in its LDL") as info:
+                solve(reduced, compute_inertia=compute_inertia)
+            assert info.value.inertia is None
+
+    def test_an_illegal_argument_to_dpbtrf_raises_value_error(self, monkeypatch):
+        reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRESS, (8, 2)))
+        monkeypatch.setattr(lsm2d.lattice, "dpbtrf", lambda ab, **kwargs: (ab, -1))
+        with pytest.raises(ValueError, match="argument 1 of dpbtrf"):
+            solve(reduced)
+
+    def test_the_rejected_band_is_freed_before_its_refill(self):
+        # the tiled LDL^T's tiles and couplings are most of the solve's peak;
+        # beside them one band storage is live at a time. When the LDL^T ran
+        # inside an exception handler, the traceback kept the rejected band:
+        # 2.13 bands beside the factor
+        reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64)))
+        solve(reduced, compute_inertia=False)  # builds the one layout the load needs
+        [layout] = reduced.layouts.values()
+        band = 8 * (layout.u + 1) * layout.rows.size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solution = solve(reduced, compute_inertia=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Cholesky rejected the block: the factor is the LDL^T's tiles
+        assert solution.factor_nnz != band // 8
+        assert peak - 8 * solution.factor_nnz <= 1.5 * band
 
     @pytest.mark.parametrize(
         "model,nu,nx,ny",
@@ -1171,6 +1226,19 @@ class TestBandCholesky:
                 assert ab.flags.f_contiguous and ab.shape == expected.shape
                 assert np.array_equal(ab, expected)
 
+    def test_a_block_without_a_mirror_is_halved_in_place(self):
+        # every DOF is its own image on the axis: the layout keeps no
+        # positions to halve, and one scale of the storage halves every entry
+        reduced = apply_constraints(*loaded_case(UNIAXIAL, MODIFIED, 0.3, PLANE_STRAIN, (64, 64)))
+        assert reduced.mirror is None
+        n = reduced.free.size
+        layout = _band_layout(reduced.matrix, *_band_block(reduced, 0))
+        assert isinstance(layout.halved, slice) and layout.halved == slice(None)
+        ab = layout.storage(reduced.matrix.data)
+        expected = gathered_band_storage(reduced.matrix, np.arange(n), np.ones(n, bool))
+        assert ab.flags.f_contiguous and ab.shape == expected.shape
+        assert ab.tobytes(order="F") == expected.tobytes(order="F")
+
     def test_band_storage_takes_little_beyond_its_result(self):
         # numpy reports its buffers to tracemalloc; gathering the block's rows
         # at once peaked 12.5 MiB above the 67 MiB band
@@ -1225,7 +1293,7 @@ class TestBandCholesky:
         if kind in (UNIAXIAL, PURE_SHEAR):
             size = (size[1], size[1])
         factored = []
-        cholesky, ldlt = lsm2d.lattice.cholesky_banded, lsm2d.lattice._band_ldlt
+        cholesky, ldlt = lsm2d.lattice.dpbtrf, lsm2d.lattice._band_ldlt
 
         def record(factor, name):
             def call(ab, **kwargs):
@@ -1234,7 +1302,7 @@ class TestBandCholesky:
 
             return call
 
-        monkeypatch.setattr(lsm2d.lattice, "cholesky_banded", record(cholesky, "cholesky"))
+        monkeypatch.setattr(lsm2d.lattice, "dpbtrf", record(cholesky, "cholesky"))
         monkeypatch.setattr(lsm2d.lattice, "_band_ldlt", record(ldlt, "ldlt"))
         system, constraints = loaded_case(kind, MODIFIED, 0.3, regime, size)
         stencil = reduce_stencil(system.mesh, system.forces, constraints)
@@ -1355,23 +1423,28 @@ class TestBandLDLT:
             tiles = [(min(b, n - r0), min(b, max(n - r0 - b, 0))) for r0 in range(0, n, b)]
             assert stored == sum(m * (m + next_m) for m, next_m in tiles)
 
-    def test_an_exactly_zero_pivot_or_a_non_finite_value_gives_none(self):
+    def test_an_exactly_zero_pivot_or_a_non_finite_value_raises(self):
+        def raises(dense):
+            with pytest.raises(SingularSystemError, match="not finite in its LDL") as info:
+                _band_ldlt(band_storage(dense))
+            return info.value.inertia is None
+
         dense = np.diag([2.0, 0.0, 3.0, 1.0]) + np.diag([0.0, 0.0, 1.0], 1)
         dense += np.triu(dense, 1).T
-        assert _band_ldlt(band_storage(dense)) is None
+        assert raises(dense)
         # interchanges stay within a tile: a 2x2 pivot across the two tiles
         # leaves the first singular though the matrix (determinant -1) is not
         dense = np.diag([1.0, 0.0, 0.0, 1.0]) + np.diag([0.0, 1.0, 0.0], 1)
         dense += np.triu(dense, 1).T
         assert np.linalg.det(dense) == -1.0
-        assert _band_ldlt(band_storage(dense)) is None
+        assert raises(dense)
         # within one tile it forms: a zero-diagonal tridiagonal matrix (determinant 1)
         dense = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
         assert np.linalg.det(dense) == 1.0
         assert _inertia(_band_ldlt(band_storage(dense))[2]) == (2, 0, 2)
         dense = np.eye(6)
         dense[0, 0] = np.inf
-        assert _band_ldlt(band_storage(dense)) is None
+        assert raises(dense)
 
 
 class TestConstrainedSpectrum:
