@@ -447,11 +447,16 @@ def sweep(runs: Sequence[tuple[BenchmarkCase, str]]) -> Sweep:
     values per mesh, a solve and the error evaluation. The systems one
     stencil fills share its memo of band layouts, so the first solve that
     factors a block builds that block's layout, and every solve fills its
-    band storage from it (see ``lattice._band_solver``).
+    band storage from it (see ``lattice.solve``).
 
     Solver failures (singular or irrecoverably ill-conditioned systems)
     are recorded per mesh rather than raised, since driving a model into
     its unstable regime is part of the protocol.
+
+    Raises:
+        ValueError: a run's filled system is not finite (see
+            ``ReducedStencil.fill``); the message names the run's kind,
+            model, nu and mesh.
     """
     timings = dict.fromkeys(SWEEP_STAGES, 0.0)
     if not runs:
@@ -474,9 +479,13 @@ def sweep(runs: Sequence[tuple[BenchmarkCase, str]]) -> Sweep:
             forces = lattice.load_vector(mesh, case_loads(plate), plate.material.thickness)
             stencil = lattice.reduce_stencil(mesh, forces, case_constraints(plate, mesh))
         meshes.append(mesh)
-        for i, ((case, _), table) in enumerate(zip(runs, tables)):
+        for i, ((case, model), table) in enumerate(zip(runs, tables)):
             with _timed(timings, "values"):
-                reduced = stencil.fill(table)
+                try:
+                    reduced = stencil.fill(table)
+                except ValueError as exc:
+                    nu, (nx, ny) = case.material.poisson_ratio, size
+                    raise ValueError(f"{case.kind} {model} nu={nu:g} mesh {nx}x{ny}: {exc}") from exc
             with _timed(timings, "solve"):
                 try:
                     solution, failure = lattice.solve(reduced), None

@@ -23,6 +23,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -228,7 +229,9 @@ def _flags(command: str) -> dict[str, dict]:
     return flags
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: ``main`` reuses it."""
     parser = argparse.ArgumentParser(prog="lsm2d", description="2D lattice spring solver")
     parser.add_argument("--version", action="version", version=f"lsm2d {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -37,7 +37,7 @@ are the inertia.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -261,12 +261,17 @@ class ReducedSystem:
     too; ``fixed`` and ``fixed_values`` keep the eliminated data. A system
     built from a stencil lists its free DOFs by lines of particles across
     the shorter side of the block it is factored in (see ``_line_order``).
-    ``layouts`` maps a block's parity to its band layout, from which every
-    band storage of the block is filled (see ``_band_solver``): the memo a
-    ``ReducedStencil`` keeps, shared by every system its ``fill`` returns,
-    as their matrices share its pattern. A system whose matrix has another
-    pattern must not carry it; without a memo (None) a solve builds the
-    layouts it needs and keeps none.
+    ``layouts`` maps a block's parity to its band layout, which indexes
+    ``matrix.data`` and fills every band storage of the block (see
+    ``solve``): the memo a ``ReducedStencil`` keeps, shared by every system
+    its ``fill`` returns, as their matrices share its pattern. Those
+    matrices are in scipy's canonical CSR order (sorted, duplicate-free
+    rows), so the scipy calls that canonicalize a matrix in place, such as
+    ``abs``, ``sum`` or ``scipy.sparse.linalg.norm``, move no entry.
+    ``eliminate_zeros``, ``prune`` and writes to new positions do: a
+    matrix so changed, like any matrix of another pattern, must not carry
+    the memo. Without a memo (None) a solve builds the layouts it needs and
+    keeps none.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -539,10 +544,12 @@ class ReducedStencil:
     ``_lattice_stencil``); ``fill`` gives the ReducedSystem of one value
     table (see ``stencil_values``). ``coupling``, the slot pattern of the
     free rows and fixed columns, is kept for nonzero prescribed values
-    only, which ``fill`` moves to the right-hand side. ``pattern.layouts``
-    is the memo of its blocks' band layouts, which every system ``fill``
-    returns shares: a sweep over value tables builds each block's layout
-    once, and each solve fills its band storage from that layout.
+    only, which ``fill`` moves to the right-hand side. The pattern is in
+    scipy's canonical CSR order, and so is every matrix ``fill`` returns.
+    ``pattern.layouts`` is the memo of its blocks' band layouts, which
+    every system ``fill`` returns shares: a sweep over value tables builds
+    each block's layout once, and each solve fills its band storage from
+    that layout.
     """
 
     pattern: ReducedSystem
@@ -577,10 +584,10 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     half-plate if the mirror survives (zero supports that map onto
     themselves), else of the whole plate: the order in which each block
     ``solve`` factors is a narrow band. scipy's fancy indexing carries the
-    slot pattern's data and keeps the entry order that ``K[free][:, free]``
-    gives, so ``fill(stencil_values(cell))`` equals that slice of the
-    assembled matrix entry for entry, and a sweep over cell matrices pays
-    for the pattern, the elimination and the order once.
+    slot pattern's data into ``K[free][:, free]``, whose rows are then
+    sorted once, into scipy's canonical CSR order, so every matrix ``fill``
+    returns is canonical, and a sweep over cell matrices pays for the
+    pattern, the elimination and the order once.
     """
     n, fixed, values = mesh.n_dofs, constraints.dofs, constraints.values
     if forces.shape != (n,):
@@ -598,8 +605,10 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         position = np.full(n, -1, dtype=np.intp)
         position[free] = np.arange(free.size)
         mirror = position[mirror[free]]
+    matrix = rows[:, free]
+    matrix.sort_indices()  # the uint16 slots move, not a filled matrix's floats
     pattern = ReducedSystem(
-        matrix=rows[:, free].tocsr(),
+        matrix=matrix,
         rhs=forces[free],
         free=free,
         fixed=fixed,
@@ -823,78 +832,31 @@ def _band_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray,
     return rows, mirror[rows], np.where(axis[rows], 0, parity[rows]).astype(np.int8)
 
 
-def _band_solver(
-    reduced: ReducedSystem, full: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray], int, np.ndarray]:
-    """Band solver through the blocks of the reduced matrix, with its pivots.
-
-    With a mirror, a field of parity s = +-1 has u[m(i)] = s sigma_i u[i],
-    sigma = -1 on y DOFs, so only x (s = 1) or y (s = -1) moves on the axis.
-    Each cell lies in one half of the plate: the block is K on the lower and
-    moving axis DOFs, axis-axis entries halved. Without a mirror the one
-    block (s = 0) is the whole matrix. In the reduced order each block is a
-    band matrix. Every block is factored, or only those the right-hand side
-    excites: by LAPACK's band Cholesky (``_band_cholesky``) or, where its
-    info reports a pivot that is not positive, by the tiled LDL^T
-    (``_band_ldlt``) of the block filled again, once the rejected storage is
-    freed. A block's band layout (``_BandLayout``) is built on the first
-    solve that factors it and kept in ``reduced.layouts``, the memo every
-    system filled from one ``ReducedStencil`` shares; every band storage,
-    the first included, is filled from it. The solver comes with the values
-    its factors store and the pivots (squared diagonals of a Cholesky
-    factor, D's eigenvalues of an LDL^T) of every factor; those of all
-    blocks give the inertia, as the blocks together are congruent to the
-    reduced matrix.
-
-    Raises:
-        SingularSystemError: an LDL^T that fails (see ``_band_ldlt``).
-        ValueError: ``dpbtrf`` reports an illegal argument.
-    """
-    data = reduced.matrix.data
-    layouts = {} if reduced.layouts is None else reduced.layouts
-    blocks, stored, pivots = [], 0, np.empty(0)
-    for s in (0,) if reduced.mirror is None else (1, -1):
-        layout = layouts.get(s)
-        if layout is None:
-            rows, image, sign = _band_block(reduced, s)
-        else:
-            rows, image, sign = layout.rows, layout.image, layout.sign
-        # an empty block (every DOF fixed) has nothing to factor
-        if not (rows.size and (full or np.any(reduced.rhs[rows] + sign * reduced.rhs[image]))):
-            continue
-        if layout is None:
-            layout = layouts[s] = _band_layout(reduced.matrix, rows, image, sign)
-        # a storage the Cholesky rejects is freed before the LDL^T's is filled
-        factored = _band_cholesky(layout.storage(data)) or _band_ldlt(layout.storage(data))
-        solve_block, size, block_pivots = factored
-        pivots, stored = np.concatenate([pivots, block_pivots]), stored + size
-        blocks.append((rows, image, sign, solve_block))
-
-    def apply(rhs: np.ndarray) -> np.ndarray:
-        u = np.zeros_like(rhs)
-        for rows, image, sign, solve_block in blocks:
-            y = solve_block(0.5 * (rhs[rows] + sign * rhs[image]))
-            u[rows] += y
-            u[image] += sign * y
-        return u
-
-    return apply, stored, pivots
-
-
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
     The system is factored in blocks, each a narrow band in the order its
-    DOFs come in (see ``reduce_stencil``): a system with a mirror on its two
-    half-height blocks, every block when the inertia is requested or the
-    load is zero, else only the blocks the load excites (one, for the odd
-    loads of the bending and cantilever plates); any other system as one
-    block, its whole matrix. A positive definite block takes LAPACK's band
-    Cholesky (``dpbtrf`` and ``dpbtrs``), any other a tiled LDL^T
-    with Bunch-Kaufman pivots inside each tile, whose verdict is final. One
-    rule reads the pivots of the factors: a zero pivot (see ``_inertia``)
+    DOFs come in (see ``reduce_stencil``). With a mirror, a field of parity
+    s = +-1 has u[m(i)] = s sigma_i u[i], sigma = -1 on y DOFs, so only x
+    (s = 1) or y (s = -1) moves on the axis. Each cell lies in one half of
+    the plate: the block of parity s is K on the lower and moving axis DOFs,
+    axis-axis entries halved (see ``_band_block``), the load folds onto it
+    and its solution unfolds onto its rows and their images. Both blocks
+    are factored when the inertia is requested or the load is zero, else
+    only those the load excites (one, for the odd loads of the bending and
+    cantilever plates). Any other system is one block (s = 0), its whole
+    matrix. A block's band layout (``_BandLayout``) is built by the first
+    solve that factors it and kept in ``reduced.layouts``; every band
+    storage is filled from it. A positive definite block takes LAPACK's
+    band Cholesky (``_band_cholesky``), any other, filled again once the
+    rejected storage is freed, a tiled LDL^T with Bunch-Kaufman pivots
+    inside each tile (``_band_ldlt``), whose verdict is final. One rule
+    reads the pivots of the factors (squared diagonals of a Cholesky
+    factor, D's eigenvalues of an LDL^T): a zero pivot (see ``_inertia``)
     marks a rigid mode and raises, also under a zero load, and the signs
-    are the inertia.
+    are the inertia, as the blocks together are congruent to the reduced
+    matrix. A residual above 1e-10 times the load norm takes one step of
+    iterative refinement.
 
     Args:
         reduced: system after constraint elimination.
@@ -910,23 +872,55 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     Raises:
         SingularSystemError: zero pivot among those read, an LDL^T that meets
             an exactly zero pivot or a value that is not finite, non-finite
-            solution, or residual above 1e-10 times the load norm.
+            solution, or residual above 1e-10 times the load norm after the
+            refinement.
+        ValueError: ``dpbtrf`` reports an illegal argument.
     """
-    rhs_norm = float(np.linalg.norm(reduced.rhs))
-    apply, factor_nnz, pivots = _band_solver(reduced, compute_inertia or not np.any(reduced.rhs))
+    rhs, data = reduced.rhs, reduced.matrix.data
+    rhs_norm = float(np.linalg.norm(rhs))
+    # every block for the inertia or a zero load, else the blocks the load excites
+    full = compute_inertia or not np.any(rhs)
+    layouts = {} if reduced.layouts is None else reduced.layouts
+    blocks, factor_nnz, pivots = [], 0, np.empty(0)
+    for s in (0,) if reduced.mirror is None else (1, -1):
+        layout = layouts.get(s)
+        if layout is None:
+            rows, image, sign = _band_block(reduced, s)
+        else:
+            rows, image, sign = layout.rows, layout.image, layout.sign
+        # an empty block (every DOF fixed) has nothing to factor
+        if not (rows.size and (full or np.any(rhs[rows] + sign * rhs[image]))):
+            continue
+        if layout is None:
+            layout = layouts[s] = _band_layout(reduced.matrix, rows, image, sign)
+        # a storage the Cholesky rejects is freed before the LDL^T's is filled
+        factored = _band_cholesky(layout.storage(data)) or _band_ldlt(layout.storage(data))
+        solve_block, size, block_pivots = factored
+        pivots, factor_nnz = np.concatenate([pivots, block_pivots]), factor_nnz + size
+        blocks.append((rows, image, sign, solve_block))
+
+    def apply(b: np.ndarray) -> np.ndarray:
+        # fold b onto each block, solve there, unfold onto the rows and their images
+        x = np.zeros_like(b)
+        for rows, image, sign, solve_block in blocks:
+            y = solve_block(0.5 * (b[rows] + sign * b[image]))
+            x[rows] += y
+            x[image] += sign * y
+        return x
+
     counts = _inertia(pivots)
     inertia = counts if compute_inertia else None
     if counts[1]:
         raise SingularSystemError("stiffness matrix is singular: zero pivot", inertia)
-    u_free = apply(reduced.rhs)
+    u_free = apply(rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError("stiffness matrix is singular: non-finite solution", inertia)
-    r = reduced.rhs - reduced.matrix @ u_free
+    r = rhs - reduced.matrix @ u_free
     residual = float(np.linalg.norm(r))
     if residual > 1e-10 * rhs_norm:
         # one step of iterative refinement rescues marginal conditioning
         u_free = u_free + apply(r)
-        residual = float(np.linalg.norm(reduced.rhs - reduced.matrix @ u_free))
+        residual = float(np.linalg.norm(rhs - reduced.matrix @ u_free))
         if residual > 1e-10 * rhs_norm:
             raise SingularSystemError(
                 f"solve failed: residual {residual:.3e} exceeds tolerance "

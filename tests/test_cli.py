@@ -4,6 +4,7 @@ CSV outputs must be byte-deterministic, so several tests compare whole
 files across repeated runs instead of parsed values.
 """
 
+import argparse
 import json
 import math
 import subprocess
@@ -34,6 +35,7 @@ from lsm2d import (
     make_case,
     run_case,
 )
+from lsm2d import cli
 from lsm2d import cell as cell_module
 from lsm2d import lattice as lattice_module
 from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, write_csv
@@ -724,6 +726,16 @@ class TestExitCodes:
         assert "not finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_an_overflow_names_its_run(self, tmp_path, capsys):
+        argv = ["convergence", "--case", "uniaxial", "--mesh", "2x2", "--E", "1e308"]
+        assert main(argv + self.OVERFLOW + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: uniaxial modified nu=0.3 mesh 2x2: reduced stiffness matrix or "
+            "right-hand side is not finite (overflow)\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_a_sum_the_plate_does_not_use_may_overflow(self, tmp_path):
         # the eigen command's one-cell plate takes single contributions only:
         # its spectrum is the default modulus's
@@ -773,6 +785,20 @@ class TestExitCodes:
         out = tmp_path / "a" / "b" / "c"
         assert main(["calibrate", "--nu", "0.3", "--out", str(out)]) == 0
         assert (out / "calibration.csv").exists()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["calibrate", "--nu", "0.3", "--out", str(tmp_path)]) == 0
+    assert built.count("lsm2d") == 1
 
 
 def test_module_entry_point(tmp_path):
