@@ -70,9 +70,10 @@ def _affine_mode(e_xx: float, e_xy: float, e_yx: float, e_yy: float) -> np.ndarr
 
 # Canonical orthonormal eigenform shapes. These are exact eigenvectors of
 # both cell matrices for every stiffness set, which makes classification a
-# projection problem. Bending modes alternate corner displacements along
-# one axis; the two shear shapes are the symmetric (e_xy = e_yx) and
-# deviatoric (e_xx = -e_yy) strain patterns.
+# projection: each mode's Rayleigh quotient is its eigenvalue. Bending
+# modes alternate corner displacements along one axis; the two shear
+# shapes are the symmetric (e_xy = e_yx) and deviatoric (e_xx = -e_yy)
+# strain patterns.
 CANONICAL_MODES: dict[str, np.ndarray] = {
     "trans_x": _normalized(np.array([1.0, 0, 1, 0, 1, 0, 1, 0])),
     "trans_y": _normalized(np.array([0.0, 1, 0, 1, 0, 1, 0, 1])),
@@ -83,6 +84,14 @@ CANONICAL_MODES: dict[str, np.ndarray] = {
     "shear_2": _affine_mode(1.0, 0.0, 0.0, -1.0),
     "volumetric": _affine_mode(1.0, 0.0, 0.0, 1.0),
 }
+# H: the signs of the canonical modes over 4, as columns in EIGENFORMS order.
+# With Q the modes as columns and m the signs in each, Q^T K Q is
+# 16 H^T K H / sqrt(m_i m_j): every product in H^T K H is exact, so it rounds
+# less than Q^T K Q (at Born's plane-strain threshold the rotation reads 0,
+# not roundoff), and no sum in it overflows where the spectrum does not.
+_H = np.column_stack([0.25 * np.sign(CANONICAL_MODES[label]) for label in EIGENFORMS])
+_SIGN_COUNTS = np.count_nonzero(_H, axis=0)
+_H_TO_Q = 16.0 / np.sqrt(np.outer(_SIGN_COUNTS, _SIGN_COUNTS))
 
 
 @dataclass(frozen=True)
@@ -106,16 +115,15 @@ class EigenReport:
     Attributes:
         eigenvalues: the 8 eigenvalues, ascending, in N/m.
         eigenvectors: matching orthonormal eigenvectors as columns.
-        classification: eigenform label -> eigenvalue, each label once.
-        mode_columns: eigenform label -> column index into eigenvectors.
-        resolved: False when some label could not be matched cleanly to
-            an eigenspace (projection quality below threshold).
+        classification: eigenform label -> eigenvalue, the Rayleigh
+            quotient of ``CANONICAL_MODES[label]``, each label once.
+        resolved: False when the canonical modes are not eigenvectors of
+            the matrix, so that the labels are not its eigenvalues.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     classification: dict[str, float]
-    mode_columns: dict[str, int]
     resolved: bool
 
 
@@ -314,117 +322,43 @@ def _cell_array(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _assign(cost: np.ndarray) -> list[int]:
-    """Column of each row in a minimum-cost assignment of a square cost matrix.
-
-    Shortest augmenting paths (Crouse 2016, IEEE TAES 52(4)) with the order
-    and tie rule of scipy's linear_sum_assignment, so that the two pick the
-    same columns among tied optima too: rows are augmented in order; the
-    remaining columns are scanned from the highest index down, and a chosen
-    one is replaced by the last; a path cost changes only on a strict
-    improvement; a tie for the lowest cost goes to an unassigned column.
-    Every sum is formed in scipy's order, so rounding agrees too.
-    """
-    c = cost.tolist()
-    n = len(c)
-    u, v = [0.0] * n, [0.0] * n
-    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
-    for cur in range(n):
-        shortest = [math.inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        rows, cols = [], []  # the rows and columns the path search visits
-        i, min_val, sink = cur, 0.0, -1
-        while sink < 0:
-            rows.append(i)
-            index, lowest = -1, math.inf
-            ci, ui = c[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + ci[j] - ui - v[j]
-                sj = shortest[j]
-                if r < sj:
-                    path[j], shortest[j], sj = i, r, r
-                if sj < lowest or (sj == lowest and row4col[j] < 0):
-                    index, lowest = it, sj
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] < 0:
-                sink = j
-            else:
-                i = row4col[j]
-            cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        # dual update, then flip the path's edges
-        u[cur] += min_val
-        for i in rows[1:]:
-            u[i] += min_val - shortest[col4row[i]]
-        for j in cols:
-            v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
-
-
 def eigen_analysis(matrix: np.ndarray) -> EigenReport:
     """Full symmetric eigendecomposition with eigenform labels.
 
-    Each canonical mode is matched to a computed eigenvector by maximum
-    total squared overlap, one label per eigenpair. The matching is the
-    shortest-augmenting-path assignment of Crouse (2016), with the tie
-    rule of scipy's linear_sum_assignment: labels are placed in
-    ``EIGENFORMS`` order, and a tie goes to a free eigenvector, scanned
-    from the highest column down. Inside a repeated eigenvalue the
-    individual pairing is arbitrary (the subspace is classified as a
-    whole); the reported eigenvalue is unaffected.
+    The canonical modes are exact eigenvectors of every cell matrix, so the
+    label of mode q is its Rayleigh quotient q^T K q: the diagonal of
+    Q^T K Q, with Q the modes as columns in ``EIGENFORMS`` order. The
+    spectrum and its eigenvectors come from ``eigh``; within a repeated
+    eigenvalue its columns are an arbitrary basis of the eigenspace, and
+    the eigenvector of a label is ``CANONICAL_MODES[label]``.
 
     Args:
         matrix: symmetric, finite 8x8 cell matrix.
 
     Returns:
-        EigenReport; ``resolved`` is False when a label's projection onto
-        the eigenspace of its assigned eigenvalue falls below 0.9.
+        EigenReport; ``resolved`` is False when an off-diagonal entry of
+        Q^T K Q exceeds 1e-8 of the largest |eigenvalue|, i.e. the
+        canonical modes are not eigenvectors of the matrix.
 
     Raises:
         ValueError: the matrix is not a finite symmetric 8x8 array, or its
             spectrum overflows.
     """
     matrix = _cell_array(matrix)
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(matrix).max())):
+    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * np.abs(matrix).max()):
         raise ValueError("cell matrix must be symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     if not np.all(np.isfinite(eigenvalues)):
         # a finite matrix near the float range can still overflow in eigh
         raise ValueError("cell matrix spectrum is not finite (overflow in eigh)")
-
-    labels = list(CANONICAL_MODES)
-    overlap = np.empty((len(labels), 8))
-    for row, label in enumerate(labels):
-        overlap[row] = (CANONICAL_MODES[label] @ eigenvectors) ** 2
-    cols = _assign(-overlap)
-
-    scale = max(np.abs(eigenvalues).max(), 1.0)
-    classification: dict[str, float] = {}
-    mode_columns: dict[str, int] = {}
-    resolved = True
-    for row, col in enumerate(cols):
-        label = labels[row]
-        classification[label] = float(eigenvalues[col])
-        mode_columns[label] = int(col)
-        # projection quality over the whole (possibly repeated) eigenspace
-        cluster = np.abs(eigenvalues - eigenvalues[col]) <= 1e-8 * scale
-        if overlap[row, cluster].sum() < 0.9:
-            resolved = False
+    projected = _H.T @ matrix @ _H * _H_TO_Q
+    labels = projected.diagonal()
+    coupling = np.abs(projected - np.diag(labels)).max()
     return EigenReport(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        classification=classification,
-        mode_columns=mode_columns,
-        resolved=resolved,
+        classification=dict(zip(EIGENFORMS, labels.tolist())),
+        resolved=bool(coupling <= 1e-8 * np.abs(eigenvalues).max()),
     )
 
 

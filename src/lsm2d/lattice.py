@@ -268,10 +268,10 @@ class ReducedSystem:
     matrices are in scipy's canonical CSR order (sorted, duplicate-free
     rows), so the scipy calls that canonicalize a matrix in place, such as
     ``abs``, ``sum`` or ``scipy.sparse.linalg.norm``, move no entry.
-    ``eliminate_zeros``, ``prune`` and writes to new positions do: a
-    matrix so changed, like any matrix of another pattern, must not carry
-    the memo. Without a memo (None) a solve builds the layouts it needs and
-    keeps none.
+    ``eliminate_zeros``, ``prune`` and writes to new positions do, and
+    ``solve`` refuses a matrix so changed while it carries the memo (a
+    write to an existing entry keeps its pattern). Without a memo (None) a
+    solve builds the layouts it needs and keeps none.
     """
 
     matrix: scipy.sparse.csr_matrix
@@ -643,7 +643,7 @@ class _BandLayout:
     alone (every system without a mirror) that is every entry, and
     ``halved`` is ``slice(None)``, the whole storage, not a copy of
     ``flat``. Every index depends on the pattern alone, so one layout serves
-    every matrix of a stencil.
+    every matrix of a stencil: those with ``nnz`` entries in canonical order.
     """
 
     rows: np.ndarray
@@ -653,6 +653,7 @@ class _BandLayout:
     flat: np.ndarray
     entry: np.ndarray
     halved: np.ndarray | slice
+    nnz: int
 
     def storage(self, data: np.ndarray) -> np.ndarray:
         """The block's band storage ab[i - j, j] = a[i, j] for the matrix data ``data``.
@@ -725,7 +726,7 @@ def _band_layout(
     del flats  # freed before the entries are joined
     entry = np.concatenate(entries)
     halved = slice(None) if on_axis is None else np.concatenate(halved)
-    return _BandLayout(rows, image, sign, u, flat, entry, halved)
+    return _BandLayout(rows, image, sign, u, flat, entry, halved, matrix.nnz)
 
 
 def _band_cholesky(ab: np.ndarray):
@@ -847,10 +848,13 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     cantilever plates). Any other system is one block (s = 0), its whole
     matrix. A block's band layout (``_BandLayout``) is built by the first
     solve that factors it and kept in ``reduced.layouts``; every band
-    storage is filled from it. A positive definite block takes LAPACK's
-    band Cholesky (``_band_cholesky``), any other, filled again once the
-    rejected storage is freed, a tiled LDL^T with Bunch-Kaufman pivots
-    inside each tile (``_band_ldlt``), whose verdict is final. One rule
+    storage is filled from it. Its siblings share the memo, so a matrix
+    with another entry count than the memo was built for, or out of
+    canonical order, is refused, and the memo is not rebuilt. A positive
+    definite block takes LAPACK's band Cholesky (``_band_cholesky``), any
+    other, filled again once the rejected storage is freed, a tiled LDL^T
+    with Bunch-Kaufman pivots inside each tile (``_band_ldlt``), whose
+    verdict is final. One rule
     reads the pivots of the factors (squared diagonals of a Cholesky
     factor, D's eigenvalues of an LDL^T): a zero pivot (see ``_inertia``)
     marks a rigid mode and raises, also under a zero load, and the signs
@@ -874,13 +878,24 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
             an exactly zero pivot or a value that is not finite, non-finite
             solution, or residual above 1e-10 times the load norm after the
             refinement.
-        ValueError: ``dpbtrf`` reports an illegal argument.
+        ValueError: the matrix does not fit the layouts in ``reduced.layouts``
+            (``eliminate_zeros``, ``prune`` or a write to a new position
+            changed its entries), or ``dpbtrf`` reports an illegal argument.
     """
-    rhs, data = reduced.rhs, reduced.matrix.data
+    rhs, data, nnz = reduced.rhs, reduced.matrix.data, reduced.matrix.nnz
+    layouts = {} if reduced.layouts is None else reduced.layouts
+    # every layout of a memo was built for the one pattern its matrices share
+    built = next(iter(layouts.values()), None)
+    if built is not None and nnz != built.nnz:
+        raise ValueError(
+            f"reduced matrix has {nnz} entries, its band layouts index {built.nnz}: "
+            "its pattern changed after the memo was built"
+        )
+    if reduced.layouts is not None and not reduced.matrix.has_canonical_format:
+        raise ValueError("reduced matrix is not in the canonical CSR order its band layouts index")
     rhs_norm = float(np.linalg.norm(rhs))
     # every block for the inertia or a zero load, else the blocks the load excites
     full = compute_inertia or not np.any(rhs)
-    layouts = {} if reduced.layouts is None else reduced.layouts
     blocks, factor_nnz, pivots = [], 0, np.empty(0)
     for s in (0,) if reduced.mirror is None else (1, -1):
         layout = layouts.get(s)

@@ -4,16 +4,17 @@ The cell matrices summed from bond bases are checked against Hessians of
 independently summed per-bond energies and, bit for bit, against the
 five-entry closed forms (tests/oracles.py), so the bases never validate
 themselves. Eigenvalue checks compare against the analytical spectrum
-expressed in stiffnesses. The eigenform labels come from the package's own
-assignment, which must pick the columns scipy's linear_sum_assignment picks.
+expressed in stiffnesses. The eigenform labels, the Rayleigh quotients of
+the canonical modes, are checked against the same quotients in exact
+rational arithmetic.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lsm2d import cell as cell_module
 from lsm2d import (
     BORN,
     INDEFINITE,
@@ -319,10 +320,9 @@ class TestEigenAnalysis:
                 ), (label, nu)
             assert report.resolved
 
-    def test_every_label_assigned_once(self, rng):
+    def test_every_eigenform_labeled_once(self, rng):
         report = eigen_analysis(cell_matrix(random_stiffness(rng, BORN)))
         assert set(report.classification) == set(EIGENFORMS)
-        assert sorted(report.mode_columns.values()) == list(range(8))
 
     def test_bending_pair_degenerate(self, rng):
         ks = random_stiffness(rng, MODIFIED)
@@ -345,6 +345,38 @@ class TestEigenAnalysis:
         report = eigen_analysis(np.diag(np.arange(1.0, 9.0)))
         assert not report.resolved
 
+    def test_resolved_does_not_depend_on_the_unit_system(self):
+        for scale in (1.0, 1e-12, 1e-200):
+            assert not eigen_analysis(scale * np.diag(np.arange(1.0, 9.0))).resolved, scale
+        for young_modulus in (1e-200, 1.0, 2e11, 1e300):
+            for regime in REGIMES:
+                for model in MODELS:
+                    for nu in (0.0, 0.25, 1.0 / 3.0, 0.49):
+                        ks = calibrate(Material(young_modulus, nu, 0.01, regime), model)
+                        assert eigen_analysis(cell_matrix(ks)).resolved, (young_modulus, ks)
+
+    def test_labels_match_exact_rayleigh_quotients(self):
+        # each mode is a sign vector s over sqrt(m), so q^T K q = s^T K s / m
+        # is exact in rationals from the float matrix
+        signs = {label: np.sign(CANONICAL_MODES[label]).astype(int) for label in EIGENFORMS}
+        for label, s in signs.items():
+            np.testing.assert_array_equal(CANONICAL_MODES[label], s / np.sqrt(np.count_nonzero(s)))
+        nus = tuple(i / 100 for i in range(50)) + (0.499, 0.4999)
+        for regime in REGIMES:
+            for model in MODELS:
+                for nu in nus:
+                    matrix = cell_matrix(calibrate(Material(2e11, nu, 0.01, regime), model))
+                    report = eigen_analysis(matrix)
+                    exact = [[Fraction(v) for v in row] for row in matrix.tolist()]
+                    bound = 5e-16 * Fraction(np.abs(report.eigenvalues).max())
+                    for label, s in signs.items():
+                        support = np.flatnonzero(s).tolist()
+                        quotient = sum(
+                            s[i] * s[j] * exact[i][j] for i in support for j in support
+                        ) / len(support)
+                        error = abs(Fraction(report.classification[label]) - quotient)
+                        assert error <= bound, (regime, model, nu, label, float(error))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             eigen_analysis(np.zeros((6, 6)))
@@ -352,6 +384,14 @@ class TestEigenAnalysis:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             eigen_analysis(bad)
+        # the symmetry tolerance scales with the matrix, small ones included
+        bad[0, 1] = 1e-13
+        with pytest.raises(ValueError, match="symmetric"):
+            eigen_analysis(bad)
+        tiny = cell_matrix(calibrate(Material(1e-200, 0.3, 0.01), MODIFIED))
+        tiny[0, 2] = -tiny[0, 2]
+        with pytest.raises(ValueError, match="symmetric"):
+            eigen_analysis(tiny)
 
     def test_nan_matrix_rejected_as_non_finite(self):
         bad = np.eye(8)
@@ -374,67 +414,6 @@ class TestEigenAnalysis:
         big[0, 1] = big[1, 0] = 1e308
         with pytest.raises(ValueError, match="spectrum is not finite"):
             eigen_analysis(big)
-
-
-def scipy_columns(cost):
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    assert list(rows) == list(range(len(cost)))
-    return [int(c) for c in cols]
-
-
-@pytest.fixture
-def recorded_costs(monkeypatch):
-    """Every cost matrix eigen_analysis hands to its assignment, with the columns chosen."""
-    calls = []
-    assign = cell_module._assign
-
-    def recording(cost):
-        cols = assign(cost)
-        calls.append((cost.copy(), cols))
-        return cols
-
-    monkeypatch.setattr(cell_module, "_assign", recording)
-    return calls
-
-
-class TestAssignment:
-    """The in-house assignment picks scipy's columns, ties included."""
-
-    @pytest.mark.parametrize("kind", ["uniform", "small_integers", "sparse_binary"])
-    def test_matches_scipy_on_random_costs(self, rng, kind):
-        for _ in range(3500):
-            if kind == "uniform":
-                cost = rng.uniform(-1.0, 1.0, size=(8, 8))
-            elif kind == "small_integers":
-                cost = rng.integers(0, 4, size=(8, 8)).astype(float)
-            else:
-                cost = (rng.random((8, 8)) < 0.3).astype(float)
-            assert cell_module._assign(cost) == scipy_columns(cost), cost
-
-    def test_constant_cost_gives_identity(self):
-        # every pairing is optimal; scipy's tie rule picks the identity
-        assert cell_module._assign(np.zeros((8, 8))) == list(range(8))
-
-    def test_matches_scipy_on_calibrated_cells(self, nu_grid, recorded_costs):
-        for regime in REGIMES:
-            for nu in nu_grid + (0.25, 1.0 / 3.0):
-                for young_modulus in (1.0, 2e11):
-                    for model in MODELS:
-                        ks = calibrate(Material(young_modulus, nu, 0.01, regime), model)
-                        eigen_analysis(cell_matrix(ks))
-        assert len(recorded_costs) == 2 * len(nu_grid + (0.25, 1.0 / 3.0)) * 2 * 2
-        for cost, cols in recorded_costs:
-            assert cols == scipy_columns(cost), cost
-
-    def test_matches_scipy_on_random_stiffness_sets(self, rng, recorded_costs):
-        for _ in range(600):
-            for model in MODELS:
-                eigen_analysis(cell_matrix(random_stiffness(rng, model)))
-        assert len(recorded_costs) == 1200
-        for cost, cols in recorded_costs:
-            assert cols == scipy_columns(cost), cost
 
 
 class TestDefiniteness:
@@ -492,6 +471,13 @@ def rotation_eigenvalue(nu: float, regime: str) -> float:
 
 
 class TestRotationStabilityThreshold:
+    def test_rotation_reads_zero_at_the_plane_strain_threshold(self):
+        # k_s1 = 0 there, so the exact label is 0, and the projection forms it exactly
+        for model in MODELS:
+            ks = calibrate(Material(2e11, 0.25, 0.01, PLANE_STRAIN), model)
+            assert ks.k_s1 == 0.0
+            assert eigen_analysis(cell_matrix(ks)).classification["rotation"] == 0.0
+
     @pytest.mark.parametrize(
         "regime,bracket,root",
         [

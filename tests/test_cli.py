@@ -36,7 +36,6 @@ from lsm2d import (
     run_case,
 )
 from lsm2d import cli
-from lsm2d import cell as cell_module
 from lsm2d import lattice as lattice_module
 from lsm2d.cli import CASE_NAMES, REGIME_NAMES, main, write_csv
 from oracles import constrained_spectrum, csv_cell, field_rows
@@ -166,32 +165,6 @@ class TestEigenCommand:
                 values = constrained_spectrum(apply_constraints(system, constraints)) / 2e9
                 expected.append([model, REGIME_NAMES[regime], csv_cell(nu)] + [csv_cell(v) for v in values])
         assert [list(row.values()) for row in rows] == expected
-
-    @pytest.mark.parametrize("regime", sorted(REGIME_NAMES))
-    def test_tables_unchanged_under_scipy_assignment(self, tmp_path, monkeypatch, regime):
-        # the eigenform labels decide the column of each eigenvalue, so the
-        # package's assignment must write the bytes scipy's would
-        from scipy.optimize import linear_sum_assignment
-
-        def run(out):
-            for extra in ([], ["--case", "cantilever"]):
-                target = out / "_".join(["eigen"] + extra[1:])
-                assert main(["eigen", "--out", str(target), "--regime", regime] + extra) == 0
-
-        shipped, reference = tmp_path / "shipped", tmp_path / "scipy"
-        run(shipped)
-        calls = []
-
-        def scipy_assign(cost):
-            calls.append(cost)
-            return [int(c) for c in linear_sum_assignment(cost)[1]]
-
-        monkeypatch.setattr(cell_module, "_assign", scipy_assign)
-        run(reference)
-        assert calls
-        for name in ("eigen/eigenvalues.csv", "eigen_cantilever/eigenvalues.csv",
-                     "eigen_cantilever/constrained_spectrum.csv"):
-            assert (shipped / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 class TestBenchmarkCommand:

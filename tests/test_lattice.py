@@ -510,6 +510,71 @@ class TestCanonicalOrder:
         canonicalize(unloaded.matrix)
         assert solve(unloaded).inertia == inertia
 
+    @staticmethod
+    def born_cantilever():
+        """Plane-strain Born at nu = 1/4 on 8x2, whose reduced matrix keeps explicit zeros."""
+        case = lsm2d.make_case(CANTILEVER, 0.25, PLANE_STRAIN, mesh_sizes=((8, 2),))
+        mesh = case_mesh(case, (8, 2))
+        forces = load_vector(mesh, case_loads(case), case.material.thickness)
+        stencil = reduce_stencil(mesh, forces, case_constraints(case, mesh))
+        return stencil, stencil_values(cell_matrix(calibrate(case.material, BORN)))
+
+    def test_a_changed_pattern_is_refused(self):
+        stencil, values = self.born_cantilever()
+        reduced = stencil.fill(values)
+        solve(reduced)
+        assert reduced.matrix.nnz == 616
+        reduced.matrix.eliminate_zeros()
+        assert reduced.matrix.nnz == 350
+        with pytest.raises(ValueError, match="350 entries, its band layouts index 616"):
+            solve(reduced)
+        # a write to a new position adds an entry
+        reduced = stencil.fill(values)
+        dense = reduced.matrix.toarray()
+        pattern = reduced.matrix.copy()
+        pattern.data[:] = 1.0
+        i, j = np.argwhere(pattern.toarray() == 0.0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+            reduced.matrix[i, j] = reduced.matrix[j, i] = 0.0
+        np.testing.assert_array_equal(reduced.matrix.toarray(), dense)
+        with pytest.raises(ValueError, match="618 entries, its band layouts index 616"):
+            solve(reduced)
+        # the memo its siblings share is intact
+        sibling = stencil.fill(values)
+        u = solve(sibling).u[sibling.free]
+        assert np.linalg.norm(sibling.rhs - sibling.matrix @ u) <= 1e-10 * np.linalg.norm(sibling.rhs)
+
+    def test_an_unsorted_matrix_is_refused(self):
+        stencil, values = self.born_cantilever()
+        reduced = stencil.fill(values)
+        matrix = reduced.matrix
+        # the same matrix with its first row's entries reversed
+        row = slice(matrix.indptr[0], matrix.indptr[1])
+        matrix.indices[row], matrix.data[row] = matrix.indices[row][::-1], matrix.data[row][::-1]
+        matrix.has_sorted_indices = False
+        with pytest.raises(ValueError, match="canonical CSR order"):
+            solve(reduced)
+
+    def test_a_write_to_an_existing_entry_still_solves(self):
+        # a square plate has no mirror, which a write to one entry would break
+        case = lsm2d.make_case(UNIAXIAL, 0.25, PLANE_STRAIN, mesh_sizes=((4, 4),))
+        mesh = case_mesh(case, (4, 4))
+        forces = load_vector(mesh, case_loads(case), case.material.thickness)
+        stencil = reduce_stencil(mesh, forces, case_constraints(case, mesh))
+        reduced = stencil.fill(stencil_values(cell_matrix(calibrate(case.material, BORN))))
+        assert reduced.mirror is None
+        solve(reduced)
+        nnz = reduced.matrix.nnz
+        reduced.matrix[0, 0] *= 2.0
+        reduced.matrix[0, 1] = reduced.matrix[1, 0] = 0.5 * reduced.matrix[0, 1]
+        assert reduced.matrix.nnz == nnz
+        without_memo = dataclasses.replace(reduced, matrix=reduced.matrix.copy(), layouts=None)
+        expected = solve(without_memo)
+        solution = solve(reduced)
+        assert solution.u.tobytes() == expected.u.tobytes()
+        assert solution.inertia == expected.inertia
+
 
 class TestApplyLoads:
     def test_uniform_traction_trapezoidal_weights(self):
