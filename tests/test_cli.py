@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from lsm2d import (
+    CANONICAL_MODES,
+    EIGENFORMS,
     MODELS,
     MODIFIED,
     PURE_BENDING,
@@ -165,6 +167,35 @@ class TestEigenCommand:
                 values = constrained_spectrum(apply_constraints(system, constraints)) / 2e9
                 expected.append([model, REGIME_NAMES[regime], csv_cell(nu)] + [csv_cell(v) for v in values])
         assert [list(row.values()) for row in rows] == expected
+
+    @pytest.mark.parametrize("regime", sorted(REGIME_NAMES))
+    def test_each_eigenvalue_lands_in_its_mode_column(self, tmp_path, regime):
+        # a column holds the Rayleigh quotient of its canonical mode, and
+        # each row is the cell's spectrum with every eigenvalue used once
+        nus = (0.0, 0.25, 1.0 / 3.0, 0.45, 0.49)
+        assert main(
+            [
+                "eigen",
+                "--out", str(tmp_path),
+                "--regime", regime,
+                "--nu", ",".join(repr(nu) for nu in nus),
+            ]
+        ) == 0
+        _, rows = read_table(tmp_path / "eigenvalues.csv")
+        assert len(rows) == len(MODELS) * len(nus)
+        for row in rows:
+            nu = float(row["nu"])
+            matrix = cell_matrix(
+                calibrate(Material(2e11, nu, 0.01, REGIME_NAMES[regime]), row["model"])
+            )
+            values = np.array([float(row[f"lambda_{name}"]) for name in EIGENFORMS])
+            spectrum = np.linalg.eigvalsh(matrix) / 2e9
+            scale = np.abs(spectrum).max()
+            quotients = np.array(
+                [CANONICAL_MODES[name] @ matrix @ CANONICAL_MODES[name] for name in EIGENFORMS]
+            ) / 2e9
+            np.testing.assert_allclose(values, quotients, rtol=0.0, atol=1e-14 * scale)
+            np.testing.assert_allclose(np.sort(values), spectrum, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestBenchmarkCommand:
