@@ -29,9 +29,10 @@ narrow band. A plate mirror-symmetric about its axis, supports included,
 splits into two half-height blocks; any other system is one block, its
 whole reduced matrix. Each block is factored by LAPACK's band Cholesky, or
 by a tiled LDL^T where it is not positive definite: every block for the
-inertia or a zero load, else only the blocks the load excites. One rule
-reads the pivots of the factors: a zero among them raises, and their signs
-are the inertia.
+inertia or a zero load, else only the blocks the load excites, and only
+the factors of the blocks the load excites are kept. One rule reads the
+pivots of the factors: a zero among them raises, and their signs are the
+inertia.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.blas import dsymm
+from scipy.linalg.blas import dgemm, dsymm
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytrf_lwork, dsytri, dsytrs
 
 from .cell import _POSITIONS
@@ -295,11 +296,12 @@ class Solution:
             matrix, or None when not computed. A returned solution has no
             zero pivot among those read.
         indefinite: True when the reduced matrix has negative pivots.
-        factor_nnz: values the band factors computed store, summed:
-            (half-bandwidth + 1) x size for a band Cholesky, and for a tiled
-            LDL^T each tile's factor and its coupling to the next tile, in
-            tiles of b = half-bandwidth rows (one more below 2): b x b each,
-            but the last tile is shorter and has no coupling.
+        factor_nnz: values the band factors computed store, summed over
+            every factor computed, one freed once its pivots were read
+            included: (half-bandwidth + 1) x size for a band Cholesky, and
+            for a tiled LDL^T each tile's factor and its coupling to the
+            next tile, in tiles of b = half-bandwidth rows (one more below
+            2): b x b each, but the last tile is shorter and has no coupling.
     """
 
     u: np.ndarray
@@ -665,13 +667,32 @@ class _BandLayout:
         1 MiB beside the 67 MiB storage.
         """
         ab = np.zeros((self.u + 1, self.rows.size), order="F")
-        flat = ab.ravel(order="K")
+        return self._scatter(ab, data, self.rows.size)
+
+    def refill(self, ab: np.ndarray, data: np.ndarray, columns: int) -> np.ndarray:
+        """The storage ``ab``, its first ``columns`` columns filled again for ``data`` in place.
+
+        Those columns are zeroed and then filled as ``storage`` fills them:
+        ``flat`` and ``halved`` are sorted, so their entries are a prefix of
+        each. The other columns must still hold what ``storage`` put there.
+        """
+        ab[:, :columns] = 0.0
+        return self._scatter(ab, data, columns)
+
+    def _scatter(self, ab: np.ndarray, data: np.ndarray, columns: int) -> np.ndarray:
+        # the entries of the first `columns` columns, into their zeroed storage
+        flat, end = ab.ravel(order="K"), (self.u + 1) * columns
+        stop = int(np.searchsorted(self.flat, end))
         # about a chunk's entries at a time: the scatter copies its positions as intp
         step = 8 * _BAND_CHUNK
-        for i in range(0, self.flat.size, step):
+        for i in range(0, stop, step):
+            j = min(i + step, stop)
             # np.take casts int32 indices faster than []
-            flat[self.flat[i : i + step]] = np.take(data, self.entry[i : i + step])
-        flat[self.halved] *= 0.5
+            flat[self.flat[i:j]] = np.take(data, self.entry[i:j])
+        halved = self.halved
+        if not isinstance(halved, slice):
+            halved = halved[: np.searchsorted(halved, end)]
+        flat[:end][halved] *= 0.5
         return ab
 
 
@@ -733,9 +754,11 @@ def _band_cholesky(ab: np.ndarray):
     """LAPACK's band Cholesky (``dpbtrf``) of the band in lower storage, in place.
 
     Returns the block's solver (``dpbtrs``), the values its factor stores and
-    its pivots, the squared diagonal of the factor; None where ``dpbtrf``
-    meets a pivot that is not positive (info > 0). The rejected storage is
-    then referenced nowhere and is freed on return.
+    its pivots, the squared diagonal of the factor. Where ``dpbtrf`` meets a
+    pivot that is not positive (info > 0) it returns instead how many leading
+    columns of ``ab`` the attempt changed: eliminating column j changes
+    columns j to j + u alone, and it stopped at column info - 1, so the first
+    info + u columns hold every change.
 
     Raises:
         ValueError: ``dpbtrf`` reports an illegal argument (info < 0).
@@ -744,8 +767,11 @@ def _band_cholesky(ab: np.ndarray):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")
     if info:
-        return None
+        return min(info + ab.shape[0] - 1, ab.shape[1])
     return lambda rhs: dpbtrs(factor, rhs, lower=1)[0], factor.size, factor[0] ** 2
+
+
+_LDLT_FAILED = "stiffness matrix is singular: zero pivot or a value that is not finite in its LDL^T"
 
 
 def _band_ldlt(ab: np.ndarray):
@@ -760,11 +786,15 @@ def _band_ldlt(ab: np.ndarray):
     right-hand sides, so a = L D L^T with D the S_k. Returns the block's
     solver, the values its factors store and its pivots (the eigenvalues of
     every 1x1 and 2x2 block of the tiles' D, whose signs by Sylvester's law
-    are the band's inertia).
+    are the band's inertia). The Schur update runs in place (``dgemm``) and no
+    tile is checked for values that are not finite: one check after the last
+    tile, over D's diagonal and off-diagonal and every X_k, catches what any
+    tile let through, as each tile's S_k is formed from the X_k before it,
+    and it runs before the 2x2 pivots' eigenvalues are formed.
 
     Raises:
         SingularSystemError: ``dsytrf`` meets an exactly zero pivot (info >
-            0), or a factor or coupling holds a value that is not finite; its
+            0), or D or a coupling X_k holds a value that is not finite; its
             ``inertia`` is None.
     """
     u, n = ab.shape[0] - 1, ab.shape[1]
@@ -780,18 +810,21 @@ def _band_ldlt(ab: np.ndarray):
         r1 = min(r0 + b, n)
         s = np.array(dense[r0:r1, r0:r1], order="F")  # its upper triangle is A_k
         if tiles:
-            s -= c.T @ x
+            s = dgemm(-1.0, c, x, 1.0, s, trans_a=1, overwrite_c=1)  # S_k -= C^T X, in place
         ldu, ipiv, info = dsytrf(s, lwork=lwork, overwrite_a=True)
+        if info:
+            raise SingularSystemError(_LDLT_FAILED)
         c = dense[r0:r1, r1 : r1 + b].copy(order="F")
         c[outside[: r1 - r0, : c.shape[1]]] = 0.0
         x = dsymm(1.0, dsytri(ldu, ipiv)[0], c)
-        if info or not (np.isfinite(ldu).all() and np.isfinite(x).all()):
-            raise SingularSystemError(
-                "stiffness matrix is singular: zero pivot or a value that is not finite "
-                "in its LDL^T"
-            )
         tiles.append((r0, r1, ldu, ipiv, x))
         diagonal[r0:r1], above[r0 + 1 : r1] = ldu.diagonal(), ldu.diagonal(1)
+    if not (
+        np.isfinite(diagonal).all()
+        and np.isfinite(above).all()
+        and all(np.isfinite(x).all() for *_, x in tiles)
+    ):
+        raise SingularSystemError(_LDLT_FAILED)
     ipiv = np.concatenate([ipiv for _, _, _, ipiv, _ in tiles])
     # from the last row upward, ipiv[k] < 0 closes the 2x2 block (k - 1, k)
     # that ldu[k - 1, k] couples: within a run of negatives, every other one
@@ -833,6 +866,20 @@ def _band_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray,
     return rows, mirror[rows], np.where(axis[rows], 0, parity[rows]).astype(np.int8)
 
 
+def _factor_block(layout: _BandLayout, data: np.ndarray):
+    """The solver, factor size and pivots of a block, as ``_band_cholesky`` returns them.
+
+    A band Cholesky factors the block's storage in place. Where LAPACK
+    rejects it, the columns its attempt changed are filled again, and the
+    tiled LDL^T (``_band_ldlt``) factors the same storage.
+    """
+    ab = layout.storage(data)
+    factored = _band_cholesky(ab)
+    if isinstance(factored, int):
+        factored = _band_ldlt(layout.refill(ab, data, factored))
+    return factored
+
+
 def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     """Direct solve of the reduced system.
 
@@ -842,25 +889,27 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     (s = 1) or y (s = -1) moves on the axis. Each cell lies in one half of
     the plate: the block of parity s is K on the lower and moving axis DOFs,
     axis-axis entries halved (see ``_band_block``), the load folds onto it
-    and its solution unfolds onto its rows and their images. Both blocks
-    are factored when the inertia is requested or the load is zero, else
-    only those the load excites (one, for the odd loads of the bending and
-    cantilever plates). Any other system is one block (s = 0), its whole
-    matrix. A block's band layout (``_BandLayout``) is built by the first
-    solve that factors it and kept in ``reduced.layouts``; every band
-    storage is filled from it. Its siblings share the memo, so a matrix
-    with another entry count than the memo was built for, or out of
-    canonical order, is refused, and the memo is not rebuilt. A positive
+    and its solution unfolds onto its rows and their images. Every block is
+    factored when the inertia is requested or the load is zero, else only
+    those the load excites, and only the factors of the blocks the load
+    excites (one, for the odd loads of the bending and cantilever plates)
+    are kept and applied: a block factored for its pivots alone is freed
+    before the next block is factored. Any other system is one block (s =
+    0), its whole matrix. A block's band layout (``_BandLayout``) is built
+    by the first solve that factors it and kept in ``reduced.layouts``;
+    every band storage is filled from it. Its siblings share the memo, so
+    a matrix with another entry count than the memo was built for, or out
+    of canonical order, is refused, and the memo is not rebuilt. A positive
     definite block takes LAPACK's band Cholesky (``_band_cholesky``), any
-    other, filled again once the rejected storage is freed, a tiled LDL^T
-    with Bunch-Kaufman pivots inside each tile (``_band_ldlt``), whose
-    verdict is final. One rule
-    reads the pivots of the factors (squared diagonals of a Cholesky
-    factor, D's eigenvalues of an LDL^T): a zero pivot (see ``_inertia``)
-    marks a rigid mode and raises, also under a zero load, and the signs
-    are the inertia, as the blocks together are congruent to the reduced
-    matrix. A residual above 1e-10 times the load norm takes one step of
-    iterative refinement.
+    other, its storage filled again where the rejected attempt changed it,
+    a tiled LDL^T with Bunch-Kaufman pivots inside each tile
+    (``_band_ldlt``), whose verdict is final. One rule reads the pivots of
+    the factors (squared diagonals of a Cholesky factor, D's eigenvalues of
+    an LDL^T): a zero pivot (see ``_inertia``) marks a rigid mode and
+    raises, also under a zero load, and the signs are the inertia, as the
+    blocks together are congruent to the reduced matrix. A residual above
+    1e-10 times the load norm takes one step of iterative refinement, on
+    the blocks the load excites.
 
     Args:
         reduced: system after constraint elimination.
@@ -903,16 +952,18 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
             rows, image, sign = _band_block(reduced, s)
         else:
             rows, image, sign = layout.rows, layout.image, layout.sign
+        excited = np.any(rhs[rows] + sign * rhs[image])
         # an empty block (every DOF fixed) has nothing to factor
-        if not (rows.size and (full or np.any(rhs[rows] + sign * rhs[image]))):
+        if not (rows.size and (full or excited)):
             continue
         if layout is None:
             layout = layouts[s] = _band_layout(reduced.matrix, rows, image, sign)
-        # a storage the Cholesky rejects is freed before the LDL^T's is filled
-        factored = _band_cholesky(layout.storage(data)) or _band_ldlt(layout.storage(data))
-        solve_block, size, block_pivots = factored
+        solve_block, size, block_pivots = _factor_block(layout, data)
         pivots, factor_nnz = np.concatenate([pivots, block_pivots]), factor_nnz + size
-        blocks.append((rows, image, sign, solve_block))
+        if excited:
+            blocks.append((rows, image, sign, solve_block))
+        # a factor made for its pivots alone is freed before the next block's
+        del solve_block
 
     def apply(b: np.ndarray) -> np.ndarray:
         # fold b onto each block, solve there, unfold onto the rows and their images

@@ -1075,6 +1075,44 @@ class TestMirrorSplit:
             assert solution.inertia is None
             assert solution.factor_nnz < 0.6 * factor_nnz
 
+    @pytest.mark.parametrize("kind", [lsm2d.PURE_BENDING, CANTILEVER])
+    @pytest.mark.parametrize("model,nu", [(MODIFIED, 0.3), (BORN, 0.45)])
+    def test_only_the_excited_block_is_solved(self, monkeypatch, kind, model, nu):
+        # with the inertia on both blocks are factored for their pivots, but
+        # the odd load folds onto the block of parity -1 alone, factored
+        # second, and only its solver runs
+        factored, solved = [], []
+
+        def spy(factor):
+            def call(ab):
+                result = factor(ab)
+                if isinstance(result, int):  # the columns of a rejected Cholesky
+                    return result
+                apply, size, pivots = result
+                block = len(factored)
+                factored.append(size)
+
+                def counted(rhs):
+                    solved.append(block)
+                    return apply(rhs)
+
+                return counted, size, pivots
+
+            return call
+
+        for name in ("_band_cholesky", "_band_ldlt"):
+            monkeypatch.setattr(lsm2d.lattice, name, spy(getattr(lsm2d.lattice, name)))
+        for size in ((8, 2), (16, 4), (32, 8)):
+            reduced = apply_constraints(*loaded_case(kind, model, nu, PLANE_STRESS, size))
+            factored.clear()
+            solved.clear()
+            solution = solve(reduced)
+            assert len(factored) == 2 and solution.factor_nnz == sum(factored)
+            assert solved and set(solved) == {1}
+            assert solution.inertia == eigenvalue_inertia(reduced.matrix)
+            u, _ = whole_factor_solve(reduced)
+            np.testing.assert_allclose(solution.u, u, rtol=0.0, atol=1e-10 * np.abs(u).max())
+
     def test_random_load_excites_both_blocks(self, rng):
         reduced = apply_constraints(*loaded_case(CANTILEVER, MODIFIED, 0.3, PLANE_STRAIN, (32, 8)))
         odd = solve(reduced, compute_inertia=False)
@@ -1256,9 +1294,10 @@ class TestBandCholesky:
 
     def test_the_rejected_band_is_freed_before_its_refill(self):
         # the tiled LDL^T's tiles and couplings are most of the solve's peak;
-        # beside them one band storage is live at a time. When the LDL^T ran
-        # inside an exception handler, the traceback kept the rejected band:
-        # 2.13 bands beside the factor
+        # beside them one band storage is live at a time: the rejected band
+        # is filled again in place. When the LDL^T ran inside an exception
+        # handler, the traceback kept the rejected band: 2.13 bands beside
+        # the factor
         reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64)))
         solve(reduced, compute_inertia=False)  # builds the one layout the load needs
         [layout] = reduced.layouts.values()
@@ -1273,6 +1312,65 @@ class TestBandCholesky:
         # Cholesky rejected the block: the factor is the LDL^T's tiles
         assert solution.factor_nnz != band // 8
         assert peak - 8 * solution.factor_nnz <= 1.5 * band
+
+    def test_a_block_factored_for_its_pivots_alone_is_freed(self):
+        # with the inertia on both blocks are factored, but the odd load
+        # needs the second alone: the first's factor is freed before the
+        # second is factored, and beside one factor one band storage is live
+        reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64)))
+        kept = solve(reduced, compute_inertia=False).factor_nnz  # the excited block's factor
+        solve(reduced)  # builds both layouts
+        band = max(8 * (layout.u + 1) * layout.rows.size for layout in reduced.layouts.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solution = solve(reduced)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert solution.indefinite and solution.factor_nnz > 1.9 * kept
+        assert peak - 8 * kept <= 1.5 * band
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_a_rejected_band_is_refilled_where_cholesky_changed_it(self, monkeypatch, regime):
+        # dpbtrf changes only the first info + u columns of a band it
+        # rejects; filled again there, the storage is a fresh one to the bit.
+        # u = 37 at 128x32 and 69 at 32x32 run LAPACK's blocked algorithm
+        refills = []
+
+        def checked(layout, ab, data, columns):
+            refilled = refill(layout, ab, data, columns)
+            fresh = layout.storage(data)
+            assert refilled is ab and ab.flags.f_contiguous
+            assert ab.tobytes(order="F") == fresh.tobytes(order="F")
+            refills.append(columns / ab.shape[1])
+            return refilled
+
+        def counted(ab):
+            result = cholesky(ab)
+            rejected.append(isinstance(result, int))
+            return result
+
+        refill, cholesky = lsm2d.lattice._BandLayout.refill, lsm2d.lattice._band_cholesky
+        rejected, fractions = [], []
+        monkeypatch.setattr(lsm2d.lattice._BandLayout, "refill", checked)
+        monkeypatch.setattr(lsm2d.lattice, "_band_cholesky", counted)
+        cases = [(CANTILEVER, (16, 4)), (CANTILEVER, (128, 32)), (lsm2d.PURE_BENDING, (64, 16))]
+        cases += [(lsm2d.PURE_BENDING, (128, 32)), (UNIAXIAL, (32, 32)), (PURE_SHEAR, (8, 8))]
+        for kind, size in cases:
+            system, constraints = loaded_case(kind, BORN, 0.45, regime, size)
+            stencil = reduce_stencil(system.mesh, system.forces, constraints)
+            for nu in (0.4, 0.45, 0.49):
+                stiffness = calibrate(Material(2e11, nu, 0.01, regime), BORN)
+                reduced = stencil.fill(stencil_values(cell_matrix(stiffness)))
+                refills.clear()
+                rejected.clear()
+                assert solve(reduced).indefinite
+                # every rejected block is refilled, and only its first columns
+                assert len(refills) == sum(rejected) > 0, (kind, size, nu)
+                fractions.extend(refills)
+        # most are rejected within their first tenth
+        assert np.median(fractions) < 0.1
 
     @pytest.mark.parametrize(
         "model,nu,nx,ny",
@@ -1563,6 +1661,31 @@ class TestBandLDLT:
         dense = np.eye(6)
         dense[0, 0] = np.inf
         assert raises(dense)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_coupling_in_a_middle_tile_raises(self, monkeypatch, value):
+        # the LDL^T checks D and every X_k once, after its last tile: the
+        # third coupling's bad value runs through the tiles after it and
+        # must raise there without a RuntimeWarning
+        reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (16, 4)))
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            x = dsymm(*args, **kwargs)
+            calls.append(x.shape)
+            if len(calls) == 3:
+                x[x.shape[0] // 2, 0] = value
+            return x
+
+        dsymm = lsm2d.lattice.dsymm
+        monkeypatch.setattr(lsm2d.lattice, "dsymm", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="not finite in its LDL") as info:
+                solve(reduced)
+        assert info.value.inertia is None
+        assert len(calls) >= 3
 
 
 class TestConstrainedSpectrum:
