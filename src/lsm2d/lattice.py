@@ -9,18 +9,20 @@ stiffness, while boundary edges keep their single half contribution.
 
 Every cell shares one 8x8 matrix, so every stiffness entry is a sum of
 cell-matrix entries that the grid alone selects. A slot pattern, built in
-closed form from nx and ny, is a CSR matrix whose data give each stored
-entry's slot in a small value table that one cell matrix fills; assembly is
-a single gather, with no COO triplets and no duplicate summing.
+closed form from nx, ny and the supports, is a CSR matrix whose data give
+each stored entry's slot in a small value table that one cell matrix
+fills; assembly is a single gather, with no COO triplets and no duplicate
+summing.
 
 Dirichlet data is imposed by eliminating constrained DOFs (rows and
 columns removed, right-hand side corrected), never by penalties, so the
 spectrum of the reduced matrix is the physical constrained spectrum. One
-elimination does this, for any supports, and it runs on the slot pattern
-(``reduce_stencil``): each value table then fills only the reduced matrix
-and moves nonzero prescribed displacements to the right-hand side, so a
-sweep over materials and bond models eliminates once per mesh, and no
-solve gathers the global matrix. The solver reports the inertia (negative
+elimination does this, for any supports (``reduce_stencil``): the slot
+pattern is built without the constrained rows and columns, in the order
+the solver factors, so each value table then fills only the reduced matrix
+and moves nonzero prescribed displacements to the right-hand side, a sweep
+over materials and bond models eliminates once per mesh, and no solve
+gathers the global matrix. The solver reports the inertia (negative
 pivot count) of the reduced matrix because intentionally indefinite systems
 are part of the workflow: they factorize and solve, but the result must
 carry an instability flag. The free DOFs come out by lines of particles
@@ -250,7 +252,7 @@ class GlobalSystem:
 
     @property
     def stiffness(self) -> scipy.sparse.csr_matrix:
-        return _fill(_lattice_stencil(self.mesh.spec.nx, self.mesh.spec.ny), self.values)
+        return _fill(_slot_pattern(self.mesh.spec.nx, self.mesh.spec.ny)[0], self.values)
 
 
 @dataclass(frozen=True)
@@ -261,14 +263,15 @@ class ReducedSystem:
     those of their images if the supports are zero and mirror-symmetric
     too; ``fixed`` and ``fixed_values`` keep the eliminated data. A system
     built from a stencil lists its free DOFs by lines of particles across
-    the shorter side of the block it is factored in (see ``_line_order``).
+    the shorter side of the block it is factored in (see ``reduce_stencil``).
     ``layouts`` maps a block's parity to its band layout, which indexes
     ``matrix.data`` and fills every band storage of the block (see
     ``solve``): the memo a ``ReducedStencil`` keeps, shared by every system
     its ``fill`` returns, as their matrices share its pattern. Those
     matrices are in scipy's canonical CSR order (sorted, duplicate-free
-    rows), so the scipy calls that canonicalize a matrix in place, such as
-    ``abs``, ``sum`` or ``scipy.sparse.linalg.norm``, move no entry.
+    rows), as their pattern is built, so the scipy calls that canonicalize
+    a matrix in place, such as ``abs``, ``sum`` or
+    ``scipy.sparse.linalg.norm``, move no entry.
     ``eliminate_zeros``, ``prune`` and writes to new positions do, and
     ``solve`` refuses a matrix so changed while it carries the memo (a
     write to an existing entry keeps its pattern). Without a memo (None) a
@@ -331,56 +334,76 @@ def build_mesh(spec: LatticeSpec) -> Mesh:
     return Mesh(spec=spec, positions=positions, cells=cells)
 
 
-def _lattice_stencil(nx: int, ny: int) -> scipy.sparse.csr_matrix:
-    """Slot pattern of an nx x ny lattice's stiffness, in closed form.
+def _slot_pattern(
+    nx: int, ny: int, by_columns: bool = False, fixed: Sequence[int] = ()
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """Slot pattern of an nx x ny lattice's stiffness less the ``fixed`` DOFs, in closed form.
 
-    Row 2p + a couples particle p, component a, to both components of
-    every particle within one step of it in x and y, in increasing order:
-    per neighbouring particle row dy, one run of consecutive columns. An
-    entry's value depends only on which cell corners p is (its role mask,
-    bit I set when p is corner I of a cell), on dy, a, the column offset
+    The DOFs come by lines of particles: columns (ix slowest, then iy) if
+    ``by_columns``, else rows (the natural order), a particle's x and y DOFs
+    adjacent; the defaults give the global pattern. Row (p, a) couples
+    particle p, component a, to both components of every particle within
+    one step of it in x and y: 3 lines x 3 particles x 2 components, in
+    increasing order. An entry's value depends only on which cell corners
+    p is (its role mask, bit I set when p is corner I of a cell), on dy, a,
     dx and the component b, so the pattern's data, its slots, number these
     16 x 3 x 2 x 3 x 2 combinations, which ``stencil_values`` fills from a
-    cell matrix. Along a run both the column and the slot step by one.
+    cell matrix. One mask drops the neighbours off the grid, the fixed rows
+    and the fixed columns, and a running count of the free DOFs numbers the
+    columns. That numbering keeps the order, so the rows come out sorted
+    and duplicate-free, scipy's canonical CSR order, with nothing sorted.
+
+    Returns the pattern and the free DOFs in the order of its rows.
     """
-    n_particles = (nx + 1) * (ny + 1)
-    ix = np.tile(np.arange(nx + 1), ny + 1)
-    iy = np.repeat(np.arange(ny + 1), nx + 1)
-    mask = np.zeros(n_particles, dtype=np.int64)
+    grid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    ix, iy = np.arange(nx + 1), np.arange(ny + 1)[:, None]
+    mask = np.zeros(grid.shape, dtype=np.uint16)
     for role, (cx, cy) in enumerate(_POSITIONS):
         # p is corner `role` of the cell whose lower-left particle is p - corner
-        has_cell = (ix - cx >= 0) & (ix - cx < nx) & (iy - cy >= 0) & (iy - cy < ny)
-        mask |= has_cell.astype(np.int64) << role
-    dy = np.arange(-1, 2)
-    qy = iy[:, None] + dy  # (particles, 3)
-    first = np.maximum(ix - 1, 0)  # leftmost neighbour
-    width = np.minimum(ix + 1, nx) - first + 1
-    run = np.where((qy >= 0) & (qy <= ny), 2 * width[:, None], 0)
-    col0 = 2 * (qy * (nx + 1) + first[:, None])
-    slot0 = mask[:, None] * 36 + 12 * (dy + 1) + 2 * (first - ix + 1)[:, None]
-    # runs indexed (p, a, dy): rows 2p and 2p + 1 share their columns
-    shape = (n_particles, 2, 3)
+        has_cell = (ix >= cx) & (ix < nx + cx) & (iy >= cy) & (iy < ny + cy)
+        mask |= has_cell.astype(np.uint16) << role
+    # a row's 18 entries in increasing column order: line offset + 1,
+    # offset along the line + 1, component b
+    d_line, d_along, b = (a.ravel() for a in np.indices((3, 3, 2)))
+    dx, dy = (d_line, d_along) if by_columns else (d_along, d_line)
+    # an entry's slot, less its row's part 36 mask + 6 a
+    template = (12 * dy + 2 * dx + b).astype(np.uint16)
+    if by_columns:
+        grid, mask = grid.T, mask.T
+    lines, along = grid.shape
+    n_particles = grid.size
     index_dtype = np.int32 if 36 * n_particles < 2**31 else np.int64
-    lengths = np.broadcast_to(run[:, None, :], shape).ravel()
-    col0 = np.broadcast_to(col0[:, None, :], shape).ravel().astype(index_dtype)
-    slot0 = (slot0[:, None, :] + 6 * np.arange(2)[:, None]).ravel().astype(index_dtype)
-    ends = np.cumsum(lengths)
-    indptr = np.concatenate([[0], ends[2::3]]).astype(index_dtype)
-    # in place: an entry-sized temporary costs 9 MB at 512x128
-    within = np.arange(ends[-1], dtype=index_dtype)
-    within -= np.repeat((ends - lengths).astype(index_dtype), lengths)
-    slots = np.repeat(slot0, lengths)
-    slots += within
-    slots = slots.astype(np.uint16)
-    columns = np.repeat(col0, lengths)
-    columns += within
-    return scipy.sparse.csr_matrix((slots, columns, indptr), shape=(2 * n_particles, 2 * n_particles))
+    dofs = (2 * grid[..., None] + np.arange(2)).reshape(n_particles, 2)
+    is_free = np.ones(2 * n_particles, dtype=bool)
+    is_free[np.asarray(fixed, dtype=np.intp)] = False
+    row_free = is_free[dofs]
+    free = dofs[row_free]
+    # each line DOF's column, -1 where fixed, in a border of -1 off the grid
+    number = np.full((lines + 2, along + 2, 2), -1, dtype=index_dtype)
+    inside = number[1:-1, 1:-1]
+    inside[row_free.reshape(lines, along, 2)] = np.arange(free.size, dtype=index_dtype)
+    # each particle's 18 columns: the numbers of its neighbours' DOFs
+    columns = np.empty((lines, along, 3, 3, 2), dtype=index_dtype)
+    for i in range(3):
+        for j in range(3):
+            columns[:, :, i, j] = number[i : i + lines, j : j + along]
+    columns = columns.reshape(n_particles, 1, 18)
+    kept = (columns >= 0) & row_free[:, :, None]  # (particle, a, entry)
+    indptr = np.zeros(free.size + 1, dtype=index_dtype)
+    np.cumsum(kept.sum(axis=2, dtype=index_dtype)[row_free], out=indptr[1:])
+    row_slot = (36 * mask).reshape(n_particles, 1) + 6 * np.arange(2, dtype=np.uint16)
+    # the slots before the columns: their temporary is freed before the larger gather
+    slots = (row_slot[:, :, None] + template)[kept]
+    indices = np.broadcast_to(columns, kept.shape)[kept]
+    pattern = scipy.sparse.csr_matrix((slots, indices, indptr), shape=(free.size, free.size))
+    return pattern, free
 
 
 def _fill(pattern: scipy.sparse.csr_matrix, values: np.ndarray) -> scipy.sparse.csr_matrix:
     """The matrix of a slot pattern whose entry k holds ``values[pattern.data[k]]``."""
     # the index arrays are copied so that no matrix shares them with the
-    # pattern, which may fill many
+    # pattern, which may fill many. Fancy indexing, not np.take: np.take
+    # casts all the uint16 slots to intp first, 18 MiB at 512x128
     return scipy.sparse.csr_matrix(
         (values[pattern.data], pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
     )
@@ -409,21 +432,6 @@ def stencil_values(cell_matrix: np.ndarray) -> np.ndarray:
             for corner, (bx, by) in enumerate(_POSITIONS):
                 values[with_role, by - ay + 1, :, bx - ax + 1, :] += blocks[role, :, corner, :]
     return values.ravel()
-
-
-def _line_order(nx: int, ny: int, height: int) -> np.ndarray:
-    """DOF order by lines of particles across the shorter side of a block ``height`` cells tall.
-
-    Columns (ix slowest, then iy) when nx >= height, else rows (the natural
-    order); a particle's x and y DOFs stay adjacent. The block, the whole
-    plate (height ny) or a half-height mirror block (ny // 2), taken in this
-    order has half-bandwidth 2 min(nx, height) + 5 at most.
-    """
-    particles = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
-    if nx >= height:
-        particles = particles.T
-    particles = particles.ravel()
-    return np.column_stack([2 * particles, 2 * particles + 1]).ravel()
 
 
 def _grid_mirror(nx: int, ny: int) -> np.ndarray | None:
@@ -543,11 +551,12 @@ class ReducedStencil:
     """A lattice's reduced system without values.
 
     ``pattern`` is that system with a slot pattern for its matrix (see
-    ``_lattice_stencil``); ``fill`` gives the ReducedSystem of one value
+    ``_slot_pattern``); ``fill`` gives the ReducedSystem of one value
     table (see ``stencil_values``). ``coupling``, the slot pattern of the
     free rows and fixed columns, is kept for nonzero prescribed values
-    only, which ``fill`` moves to the right-hand side. The pattern is in
-    scipy's canonical CSR order, and so is every matrix ``fill`` returns.
+    only, which ``fill`` moves to the right-hand side. The pattern is
+    built in scipy's canonical CSR order, so every matrix ``fill`` returns
+    is in it too.
     ``pattern.layouts`` is the memo of its blocks' band layouts, which
     every system ``fill`` returns shares: a sweep over value tables builds
     each block's layout once, and each solve fills its band storage from
@@ -582,16 +591,19 @@ class ReducedStencil:
 def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> ReducedStencil:
     """Constrained lattice system for any cell matrix, built once per mesh.
 
-    The free DOFs come out in ``_line_order`` across the shorter side of the
-    half-plate if the mirror survives (zero supports that map onto
-    themselves), else of the whole plate: the order in which each block
-    ``solve`` factors is a narrow band. scipy's fancy indexing carries the
-    slot pattern's data into ``K[free][:, free]``, whose rows are then
-    sorted once, into scipy's canonical CSR order, so every matrix ``fill``
-    returns is canonical, and a sweep over cell matrices pays for the
-    pattern, the elimination and the order once.
+    The free DOFs come out by lines of particles across the shorter side of
+    the half-plate if the mirror survives (zero supports that map onto
+    themselves), else of the whole plate: columns (ix slowest) when nx is
+    at least the block's height, else rows. Each block ``solve`` factors,
+    the whole plate or a half-height mirror block, is then a narrow band,
+    of half-bandwidth 2 min(nx, height) + 5 at most. The reduced slot
+    pattern is built in that order and in scipy's canonical CSR order
+    (``_slot_pattern``), so every matrix ``fill`` returns is canonical, and
+    a sweep over cell matrices pays for the pattern, the elimination and
+    the order once. ``forces`` is read as float64.
     """
     n, fixed, values = mesh.n_dofs, constraints.dofs, constraints.values
+    forces = np.asarray(forces, dtype=np.float64)
     if forces.shape != (n,):
         raise ValueError(f"forces must have shape ({n},), got {forces.shape}")
     if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
@@ -600,15 +612,12 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     mirror = _grid_mirror(nx, ny)
     if mirror is not None and (np.any(values) or not np.isin(mirror[fixed], fixed).all()):
         mirror = None
-    order = _line_order(nx, ny, ny if mirror is None else ny // 2)
-    free = order[~np.isin(order, fixed)]
-    rows = _lattice_stencil(nx, ny)[free]
+    height = ny if mirror is None else ny // 2
+    matrix, free = _slot_pattern(nx, ny, nx >= height, fixed)
     if mirror is not None:
         position = np.full(n, -1, dtype=np.intp)
         position[free] = np.arange(free.size)
         mirror = position[mirror[free]]
-    matrix = rows[:, free]
-    matrix.sort_indices()  # the uint16 slots move, not a filled matrix's floats
     pattern = ReducedSystem(
         matrix=matrix,
         rhs=forces[free],
@@ -619,7 +628,9 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         mirror=mirror,
         layouts={},
     )
-    return ReducedStencil(pattern, rows[:, fixed] if np.any(values) else None)
+    if not np.any(values):
+        return ReducedStencil(pattern, None)
+    return ReducedStencil(pattern, _slot_pattern(nx, ny)[0][free][:, fixed])
 
 
 def _inertia(pivots: np.ndarray) -> tuple[int, int, int]:
@@ -967,7 +978,7 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
 
     def apply(b: np.ndarray) -> np.ndarray:
         # fold b onto each block, solve there, unfold onto the rows and their images
-        x = np.zeros_like(b)
+        x = np.zeros(b.shape)
         for rows, image, sign, solve_block in blocks:
             y = solve_block(0.5 * (b[rows] + sign * b[image]))
             x[rows] += y

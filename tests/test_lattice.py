@@ -378,7 +378,8 @@ class TestReducedStencil:
         forces = load_vector(mesh, case_loads(case), case.material.thickness)
         fixed = set(supports.dofs.tolist())
         # every plate here is at least as wide as it is tall, so with or
-        # without the mirror its free DOFs come by columns
+        # without the mirror its free DOFs come by columns (rows: see
+        # test_row_order_matches_sliced_oracle)
         free = np.array([dof for dof in column_order(*size) if dof not in fixed])
         matrices = [
             cell_matrix(calibrate(dataclasses.replace(case.material, regime=regime), model))
@@ -414,6 +415,88 @@ class TestReducedStencil:
                 if constraints is moved:
                     assert filled.mirror is None
             assert filled.mirror is None
+
+    @pytest.mark.parametrize(
+        "nx,ny,pins,moved",
+        [
+            (2, 6, "left", False),  # the mirror: the half-plate, nx < ny / 2: rows
+            (3, 8, "corners", False),  # the mirror, pins on the axis too: rows
+            (2, 7, "left", False),  # odd ny: no mirror, the whole plate: rows
+            (1, 1, "left", False),  # one cell: no mirror, nx >= ny: columns
+            (2, 6, "middle", False),  # a whole line fixed, on the axis: rows
+            (2, 6, "bottom", False),  # a whole line fixed, off the axis: no mirror
+            (2, 6, "all", False),  # every DOF fixed: an empty system
+            (3, 8, "left", True),  # a nonzero prescribed value: the coupling, rows
+        ],
+    )
+    def test_row_order_matches_sliced_oracle(self, nx, ny, pins, moved, rng):
+        mesh = build_mesh(LatticeSpec(nx, ny, 0.1))
+        grid = np.arange(mesh.n_particles).reshape(ny + 1, nx + 1)
+        nodes = {
+            "left": grid[:, 0],
+            "corners": [grid[0, 0], grid[ny, 0], grid[ny // 2, nx]],
+            "middle": grid[ny // 2],
+            "bottom": grid[0],
+            "all": grid.ravel(),
+        }[pins]
+        supports = Constraints.from_pairs(fix_nodes([int(p) for p in nodes], "xy"))
+        moved_value = np.where(supports.dofs == supports.dofs[-1], 1e-6, 0.0)
+        constraints = Constraints(supports.dofs, moved_value if moved else supports.values)
+        forces = rng.standard_normal(mesh.n_dofs)
+        stencil = reduce_stencil(mesh, forces, constraints)
+        fixed = set(constraints.dofs.tolist())
+        # the oracle's mirror: particle (ix, iy) -> (ix, ny - iy), kept for
+        # zero supports that map onto themselves
+        image = np.column_stack([2 * grid[::-1].ravel(), 2 * grid[::-1].ravel() + 1]).ravel()
+        symmetric = ny % 2 == 0 and not moved and fixed == set(image[constraints.dofs].tolist())
+        height = ny // 2 if symmetric else ny
+        order = column_order(nx, ny, nx >= height)
+        free = np.array([dof for dof in order if dof not in fixed], dtype=int)
+        np.testing.assert_array_equal(stencil.pattern.free, free)
+        assert stencil.pattern.free.dtype == free.dtype
+        if symmetric:
+            position = {dof: k for k, dof in enumerate(free)}
+            expected = [position[dof] for dof in image[free]]
+            np.testing.assert_array_equal(stencil.pattern.mirror, expected)
+        else:
+            assert stencil.pattern.mirror is None
+        assert (stencil.coupling is not None) == moved
+        # integer entries keep the COO oracle's sums exact
+        random_cell = rng.integers(-1000, 1000, (8, 8)).astype(float)
+        random_cell += random_cell.T
+        for matrix in (random_cell, cell_matrix(modified_set())):
+            stiffness = coo_assembly(mesh, matrix)
+            oracle = sliced_reduction(stiffness, free)
+            assert oracle.has_canonical_format
+            rhs = forces[free] - stiffness[free][:, constraints.dofs] @ constraints.values
+            filled = stencil.fill(stencil_values(matrix))
+            assert filled.matrix.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                ours, theirs = getattr(filled.matrix, name), getattr(oracle, name)
+                assert ours.dtype == theirs.dtype, name
+                assert ours.tobytes() == theirs.tobytes(), name
+            assert filled.rhs.dtype == rhs.dtype and filled.rhs.tobytes() == rhs.tobytes()
+            # the random cell is not mirror-symmetric, so fill drops the mirror
+            mirrored = symmetric and matrix is not random_cell
+            np.testing.assert_equal(filled.mirror, stencil.pattern.mirror if mirrored else None)
+
+    def test_an_integer_load_solves_as_its_float_copy(self):
+        case = lsm2d.make_case(CANTILEVER, 0.3, mesh_sizes=((16, 4),))
+        mesh = case_mesh(case, (16, 4))
+        supports = case_constraints(case, mesh)
+        table = stencil_values(cell_matrix(calibrate(case.material, MODIFIED)))
+        forces = np.zeros(mesh.n_dofs, np.int64)
+        forces[1] = -1000
+        expected = solve(reduce_stencil(mesh, forces.astype(float), supports).fill(table))
+        reduced = reduce_stencil(mesh, forces, supports).fill(table)
+        assert reduced.rhs.dtype == np.float64
+        # a system built by hand may keep the integer load
+        by_hand = dataclasses.replace(reduced, rhs=forces[reduced.free])
+        for system in (reduced, by_hand):
+            solution = solve(system)
+            assert solution.u.dtype == np.float64
+            assert solution.u.tobytes() == expected.u.tobytes()
+            assert solution.residual == expected.residual
 
     def test_rejects_foreign_forces_and_dofs(self):
         mesh = build_mesh(LatticeSpec(3, 2, 1.0))
