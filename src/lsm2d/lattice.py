@@ -30,21 +30,22 @@ across the shorter side of the block to be factored, in whose order it is a
 narrow band. A plate mirror-symmetric about its axis, supports included,
 splits into two half-height blocks; any other system is one block, its
 whole reduced matrix. Each block is factored by LAPACK's band Cholesky, or
-by a tiled LDL^T where it is not positive definite: every block for the
-inertia or a zero load, else only the blocks the load excites, and only
-the factors of the blocks the load excites are kept. One rule reads the
-pivots of the factors: a zero among them raises, and their signs are the
-inertia.
+by a tiled LDL^T where it is not positive definite, either in place in the
+block's band storage: every block for the inertia or a zero load, else
+only the blocks the load excites, and only the factors of the blocks the
+load excites are kept. One rule reads the pivots of the factors: a zero
+among them raises, and their signs are the inertia.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.blas import dgemm, dsymm
+from scipy.linalg.blas import dgemm, dsymm, dtrmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytrf_lwork, dsytri, dsytrs
 
 from .cell import _POSITIONS
@@ -301,10 +302,9 @@ class Solution:
         indefinite: True when the reduced matrix has negative pivots.
         factor_nnz: values the band factors computed store, summed over
             every factor computed, one freed once its pivots were read
-            included: (half-bandwidth + 1) x size for a band Cholesky, and
-            for a tiled LDL^T each tile's factor and its coupling to the
-            next tile, in tiles of b = half-bandwidth rows (one more below
-            2): b x b each, but the last tile is shorter and has no coupling.
+            included: (half-bandwidth + 1) x size for each, as both the
+            band Cholesky and the tiled LDL^T factor the block's band
+            storage in place.
     """
 
     u: np.ndarray
@@ -335,8 +335,8 @@ def build_mesh(spec: LatticeSpec) -> Mesh:
 
 
 def _slot_pattern(
-    nx: int, ny: int, by_columns: bool = False, fixed: Sequence[int] = ()
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    nx: int, ny: int, by_columns: bool = False, fixed: Sequence[int] = (), coupled: bool = False
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, scipy.sparse.csr_matrix | None]:
     """Slot pattern of an nx x ny lattice's stiffness less the ``fixed`` DOFs, in closed form.
 
     The DOFs come by lines of particles: columns (ix slowest, then iy) if
@@ -353,7 +353,11 @@ def _slot_pattern(
     columns. That numbering keeps the order, so the rows come out sorted
     and duplicate-free, scipy's canonical CSR order, with nothing sorted.
 
-    Returns the pattern and the free DOFs in the order of its rows.
+    If ``coupled``, the same pass gives the free rows' entries in the fixed
+    columns, numbered in ``fixed``'s order and in each row in the natural
+    order of their DOFs, as slicing the global pattern ``[free][:, fixed]``
+    gives them. Returns the pattern, the free DOFs in the order of its rows
+    and that coupling (None unless ``coupled``).
     """
     grid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
     ix, iy = np.arange(nx + 1), np.arange(ny + 1)[:, None]
@@ -366,7 +370,8 @@ def _slot_pattern(
     # offset along the line + 1, component b
     d_line, d_along, b = (a.ravel() for a in np.indices((3, 3, 2)))
     dx, dy = (d_line, d_along) if by_columns else (d_along, d_line)
-    # an entry's slot, less its row's part 36 mask + 6 a
+    # an entry's slot, less its row's part 36 mask + 6 a; it increases with
+    # the entry's natural order (dy, then dx, then b)
     template = (12 * dy + 2 * dx + b).astype(np.uint16)
     if by_columns:
         grid, mask = grid.T, mask.T
@@ -374,29 +379,50 @@ def _slot_pattern(
     n_particles = grid.size
     index_dtype = np.int32 if 36 * n_particles < 2**31 else np.int64
     dofs = (2 * grid[..., None] + np.arange(2)).reshape(n_particles, 2)
+    fixed = np.asarray(fixed, dtype=np.intp)
     is_free = np.ones(2 * n_particles, dtype=bool)
-    is_free[np.asarray(fixed, dtype=np.intp)] = False
+    is_free[fixed] = False
     row_free = is_free[dofs]
     free = dofs[row_free]
-    # each line DOF's column, -1 where fixed, in a border of -1 off the grid
+    row_slot = (36 * mask).reshape(n_particles, 1) + 6 * np.arange(2, dtype=np.uint16)
+
+    # each line DOF's column: its number among the free DOFs or, for the
+    # coupling, -2 - its position in `fixed`, in a border of -1 off the grid
     number = np.full((lines + 2, along + 2, 2), -1, dtype=index_dtype)
-    inside = number[1:-1, 1:-1]
-    inside[row_free.reshape(lines, along, 2)] = np.arange(free.size, dtype=index_dtype)
+    inside, line_free = number[1:-1, 1:-1], row_free.reshape(lines, along, 2)
+    inside[line_free] = np.arange(free.size, dtype=index_dtype)
+    if coupled:
+        position = np.empty(is_free.size, dtype=index_dtype)
+        position[fixed] = np.arange(-2, -2 - fixed.size, -1, dtype=index_dtype)
+        inside[~line_free] = position[dofs[~row_free]]
     # each particle's 18 columns: the numbers of its neighbours' DOFs
     columns = np.empty((lines, along, 3, 3, 2), dtype=index_dtype)
     for i in range(3):
         for j in range(3):
             columns[:, :, i, j] = number[i : i + lines, j : j + along]
     columns = columns.reshape(n_particles, 1, 18)
-    kept = (columns >= 0) & row_free[:, :, None]  # (particle, a, entry)
-    indptr = np.zeros(free.size + 1, dtype=index_dtype)
-    np.cumsum(kept.sum(axis=2, dtype=index_dtype)[row_free], out=indptr[1:])
-    row_slot = (36 * mask).reshape(n_particles, 1) + 6 * np.arange(2, dtype=np.uint16)
-    # the slots before the columns: their temporary is freed before the larger gather
-    slots = (row_slot[:, :, None] + template)[kept]
-    indices = np.broadcast_to(columns, kept.shape)[kept]
-    pattern = scipy.sparse.csr_matrix((slots, indices, indptr), shape=(free.size, free.size))
-    return pattern, free
+
+    def gather(kept: np.ndarray, columns: np.ndarray, template: np.ndarray):
+        # the CSR arrays of the entries `kept` (particle, a, entry) of the free rows
+        indptr = np.zeros(free.size + 1, dtype=index_dtype)
+        np.cumsum(kept.sum(axis=2, dtype=index_dtype)[row_free], out=indptr[1:])
+        # the slots before the columns: their temporary is freed before the larger gather
+        slots = (row_slot[:, :, None] + template)[kept]
+        return slots, np.broadcast_to(columns, kept.shape)[kept], indptr
+
+    coupling = None
+    if coupled:  # first: its temporaries are freed before the pattern's
+        # in each row the fixed columns come in the natural order of their DOFs
+        natural = np.argsort(template)
+        fixed_columns = columns[..., natural]
+        kept = (fixed_columns < -1) & row_free[:, :, None]
+        slots, indices, indptr = gather(kept, fixed_columns, template[natural])
+        del fixed_columns, kept
+        np.subtract(-2, indices, out=indices)
+        coupling = scipy.sparse.csr_matrix((slots, indices, indptr), shape=(free.size, fixed.size))
+    kept = (columns >= 0) & row_free[:, :, None]
+    pattern = scipy.sparse.csr_matrix(gather(kept, columns, template), shape=(free.size, free.size))
+    return pattern, free, coupling
 
 
 def _fill(pattern: scipy.sparse.csr_matrix, values: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -553,10 +579,10 @@ class ReducedStencil:
     ``pattern`` is that system with a slot pattern for its matrix (see
     ``_slot_pattern``); ``fill`` gives the ReducedSystem of one value
     table (see ``stencil_values``). ``coupling``, the slot pattern of the
-    free rows and fixed columns, is kept for nonzero prescribed values
-    only, which ``fill`` moves to the right-hand side. The pattern is
-    built in scipy's canonical CSR order, so every matrix ``fill`` returns
-    is in it too.
+    free rows and fixed columns that the same pass builds, is kept for
+    nonzero prescribed values only, which ``fill`` moves to the right-hand
+    side. The pattern is built in scipy's canonical CSR order, so every
+    matrix ``fill`` returns is in it too.
     ``pattern.layouts`` is the memo of its blocks' band layouts, which
     every system ``fill`` returns shares: a sweep over value tables builds
     each block's layout once, and each solve fills its band storage from
@@ -600,12 +626,19 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     pattern is built in that order and in scipy's canonical CSR order
     (``_slot_pattern``), so every matrix ``fill`` returns is canonical, and
     a sweep over cell matrices pays for the pattern, the elimination and
-    the order once. ``forces`` is read as float64.
+    the order once. ``forces`` is read as float64 and must be finite: a
+    value that is not raises ``ValueError``, on a fixed DOF, whose row the
+    elimination drops, too. With nonzero prescribed values the same pass
+    builds the coupling (see ``ReducedStencil``).
     """
     n, fixed, values = mesh.n_dofs, constraints.dofs, constraints.values
     forces = np.asarray(forces, dtype=np.float64)
     if forces.shape != (n,):
         raise ValueError(f"forces must have shape ({n},), got {forces.shape}")
+    bad = np.flatnonzero(~np.isfinite(forces))
+    if bad.size:
+        named = ", ".join(f"{forces[dof]} on DOF {dof}" for dof in bad[:4])
+        raise ValueError(f"forces are not finite: {named}{', ...' if bad.size > 4 else ''}")
     if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
         raise ValueError("constraint references a DOF outside the system")
     nx, ny = mesh.spec.nx, mesh.spec.ny
@@ -613,7 +646,7 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
     if mirror is not None and (np.any(values) or not np.isin(mirror[fixed], fixed).all()):
         mirror = None
     height = ny if mirror is None else ny // 2
-    matrix, free = _slot_pattern(nx, ny, nx >= height, fixed)
+    matrix, free, coupling = _slot_pattern(nx, ny, nx >= height, fixed, coupled=bool(np.any(values)))
     if mirror is not None:
         position = np.full(n, -1, dtype=np.intp)
         position[free] = np.arange(free.size)
@@ -628,9 +661,7 @@ def reduce_stencil(mesh: Mesh, forces: np.ndarray, constraints: Constraints) -> 
         mirror=mirror,
         layouts={},
     )
-    if not np.any(values):
-        return ReducedStencil(pattern, None)
-    return ReducedStencil(pattern, _slot_pattern(nx, ny)[0][free][:, fixed])
+    return ReducedStencil(pattern, coupling)
 
 
 def _inertia(pivots: np.ndarray) -> tuple[int, int, int]:
@@ -782,61 +813,93 @@ def _band_cholesky(ab: np.ndarray):
     return lambda rhs: dpbtrs(factor, rhs, lower=1)[0], factor.size, factor[0] ** 2
 
 
+def _masked_product(
+    coupling: np.ndarray, inside: np.ndarray, z: np.ndarray, trans: int = 0
+) -> np.ndarray:
+    """The product ``dtrmv`` forms in ``_band_ldlt``, for a coupling that is not a square triangle.
+
+    Its entries ``inside`` the band are copied, the others zeroed, and the
+    product runs with both tiles' rows reversed.
+    """
+    coupling = np.where(inside, coupling, 0.0)[::-1, ::-1]
+    return coupling.T @ z if trans else coupling @ z
+
+
 _LDLT_FAILED = "stiffness matrix is singular: zero pivot or a value that is not finite in its LDL^T"
 
 
 def _band_ldlt(ab: np.ndarray):
-    """Tiled LDL^T of the symmetric band matrix in LAPACK's lower band storage.
+    """Tiled LDL^T of the symmetric band matrix in LAPACK's lower band storage, in place.
 
     In tiles of b = u rows (u + 1 for u < 2, so that a 2x2 pivot fits a
     tile of a tridiagonal matrix) the band is block tridiagonal, diagonal
     tiles A_k and couplings C_k = a[tile k, tile k + 1]. Each S_k = A_k -
     C_{k-1}^T X_{k-1} is factored by Bunch-Kaufman (``dsytrf``, interchanges
-    within the tile), and X_k = S_k^-1 C_k is formed from the tile's inverse
-    (``dsytri``, ``dsymm``), which costs less than ``dsytrs`` on b
-    right-hand sides, so a = L D L^T with D the S_k. Returns the block's
-    solver, the values its factors store and its pivots (the eigenvalues of
-    every 1x1 and 2x2 block of the tiles' D, whose signs by Sylvester's law
-    are the band's inertia). The Schur update runs in place (``dgemm``) and no
-    tile is checked for values that are not finite: one check after the last
-    tile, over D's diagonal and off-diagonal and every X_k, catches what any
-    tile let through, as each tile's S_k is formed from the X_k before it,
-    and it runs before the 2x2 pivots' eigenvalues are formed.
+    within the tile), so a = L D L^T with D the S_k. X_k = S_k^-1 C_k, formed
+    from the tile's inverse (``dsytri``, ``dsymm``), serves only the next
+    tile's Schur update, which runs in place (``dgemm``); the last tile has
+    no coupling and forms none. Each tile's factor is written back over A_k's
+    own positions, reversed: S_k's upper factor is the lower factor of J S_k
+    J (J the reversal), which LAPACK's lower solve reads in place. The
+    factor is then the band storage itself, (u + 1) n values as for a band
+    Cholesky, and the solve, each tile's rows reversed, reads it in place:
+    z_k+1 -= C_k^T S_k^-1 z_k forward and x_k = S_k^-1 (z_k - C_k x_k+1)
+    backward, by ``dsytrs`` on the tile and ``dtrmv`` on a full tile's
+    coupling, a triangle in the storage; only the last tile's coupling and
+    those of u < 2 are copied. Returns the block's solver, the values its
+    factor stores and its pivots (the eigenvalues of every 1x1 and 2x2 block
+    of the tiles' D, whose signs by Sylvester's law are the band's inertia).
+    No tile is checked for values that are not finite: one check after the
+    last tile, over the whole band, catches what any tile let through, as
+    each tile's S_k is formed from the X_k before it, and it runs before the
+    2x2 pivots' eigenvalues are formed.
 
     Raises:
         SingularSystemError: ``dsytrf`` meets an exactly zero pivot (info >
-            0), or D or a coupling X_k holds a value that is not finite; its
+            0), or the factor holds a value that is not finite; its
             ``inertia`` is None.
     """
     u, n = ab.shape[0] - 1, ab.shape[1]
     b, step = u + (u < 2), ab.itemsize
     # a[i, j] = ab[i - j, j] is element u j + i of the storage for j <= i <= j + u:
-    # the transpose of the view with strides (1, u) reads every tile's upper
-    # triangle in place, and its entries outside the band, other storage,
-    # are masked or not read
-    dense = np.ndarray((n, n), ab.dtype, ab.ravel(order="K"), 0, (step, u * step)).T
-    outside = ~np.tri(b, dtype=bool, k=u - b)  # a coupling's entries outside the band
-    lwork, tiles, diagonal, above = int(dsytrf_lwork(b)[0]), [], np.empty(n), np.zeros(n)
+    # the view with strides (1, u) holds each tile's A_k in its lower triangle
+    # and C_k^T, upper triangular, below it, both Fortran-ordered with leading
+    # dimension u. Its entries outside the band, other storage, are masked or
+    # not read
+    band = np.ndarray((n, n), ab.dtype, ab.ravel(order="K"), 0, (step, u * step))
+    lower, inside = np.tri(b, dtype=bool), np.tri(b, dtype=bool, k=u - b).T
+    outside = ~inside.T  # C_k's entries outside the band
+    lwork, tiles, ipivs = int(dsytrf_lwork(b)[0]), [], []
+    diagonal, above = np.empty(n), np.zeros(n)
     for r0 in range(0, n, b):
-        r1 = min(r0 + b, n)
-        s = np.array(dense[r0:r1, r0:r1], order="F")  # its upper triangle is A_k
-        if tiles:
+        r1, r2 = min(r0 + b, n), min(r0 + 2 * b, n)
+        tile, coupling = band[r0:r1, r0:r1], band[r1:r2, r0:r1]
+        s = np.array(tile.T, order="F")  # its upper triangle is A_k
+        if r0:
             s = dgemm(-1.0, c, x, 1.0, s, trans_a=1, overwrite_c=1)  # S_k -= C^T X, in place
         ldu, ipiv, info = dsytrf(s, lwork=lwork, overwrite_a=True)
         if info:
             raise SingularSystemError(_LDLT_FAILED)
-        c = dense[r0:r1, r1 : r1 + b].copy(order="F")
-        c[outside[: r1 - r0, : c.shape[1]]] = 0.0
-        x = dsymm(1.0, dsytri(ldu, ipiv)[0], c)
-        tiles.append((r0, r1, ldu, ipiv, x))
+        m = r1 - r0
         diagonal[r0:r1], above[r0 + 1 : r1] = ldu.diagonal(), ldu.diagonal(1)
-    if not (
-        np.isfinite(diagonal).all()
-        and np.isfinite(above).all()
-        and all(np.isfinite(x).all() for *_, x in tiles)
-    ):
+        # S_k's upper factor, reversed, is the lower factor of J S_k J (J the
+        # reversal), which LAPACK's lower solve reads in place over A_k
+        np.copyto(tile, ldu[::-1, ::-1], where=lower[:m, :m])
+        # C_k^T z and C_k z (trans), both tiles' rows reversed: a full tile's
+        # coupling is a triangle in place, read backward (incx = -1)
+        if coupling.shape == (u, u):
+            product = partial(dtrmv, coupling, incx=-1)
+        else:
+            product = partial(_masked_product, coupling, inside[: r2 - r1, :m])
+        tiles.append((r0, r1, r2, tile, product))
+        ipivs.append(ipiv)
+        if r2 > r1:
+            c = coupling.T.copy(order="F")
+            c[outside[:m, : r2 - r1]] = 0.0
+            x = dsymm(1.0, dsytri(ldu, ipiv, overwrite_a=1)[0], c)
+    if not all(np.isfinite(ab[:, j : j + _BAND_CHUNK]).all() for j in range(0, n, _BAND_CHUNK)):
         raise SingularSystemError(_LDLT_FAILED)
-    ipiv = np.concatenate([ipiv for _, _, _, ipiv, _ in tiles])
+    ipiv = np.concatenate(ipivs)
     # from the last row upward, ipiv[k] < 0 closes the 2x2 block (k - 1, k)
     # that ldu[k - 1, k] couples: within a run of negatives, every other one
     # counting from its end
@@ -846,16 +909,26 @@ def _band_ldlt(ab: np.ndarray):
     mean = 0.5 * (diagonal[k - 1] + diagonal[k])
     radius = np.hypot(0.5 * (diagonal[k - 1] - diagonal[k]), above[k])
     diagonal[k - 1], diagonal[k] = mean - radius, mean + radius
+    # the solve runs with each tile's rows reversed, as its factor is: in a
+    # tile of m rows from r0, row i is row r0 + m - 1 - (i - r0), and LAPACK's
+    # 1-based interchange p is m + 1 - p
+    start = index - index % b
+    m = np.minimum(b, n - start)
+    order = 2 * start + m - 1 - index
+    ipiv = ipiv[order]
+    ipiv = np.where(ipiv > 0, m + 1 - ipiv, -(m + 1) - ipiv).astype(np.int32)
 
     def apply(rhs: np.ndarray) -> np.ndarray:
-        z = rhs.copy()
-        for r0, r1, _, _, x in tiles:  # forward: z_k+1 -= X_k^T z_k
-            z[r1 : r1 + x.shape[1]] -= z[r0:r1] @ x
-        for r0, r1, ldu, ipiv, x in reversed(tiles):  # x_k = S_k^-1 z_k - X_k x_k+1
-            z[r0:r1] = dsytrs(ldu, ipiv, z[r0:r1])[0] - x @ z[r1 : r1 + x.shape[1]]
-        return z
+        z = rhs[order]
+        for r0, r1, r2, tile, product in tiles[:-1]:  # forward: z_k+1 -= C_k^T S_k^-1 z_k
+            z[r1:r2] -= product(dsytrs(tile, ipiv[r0:r1], z[r0:r1], lower=1)[0])
+        for r0, r1, r2, tile, product in reversed(tiles):  # x_k = S_k^-1 (z_k - C_k x_k+1)
+            if r2 > r1:
+                z[r0:r1] -= product(z[r1:r2], trans=1)
+            dsytrs(tile, ipiv[r0:r1], z[r0:r1], lower=1, overwrite_b=1)
+        return z[order]
 
-    return apply, sum(ldu.size + x.size for _, _, ldu, _, x in tiles), diagonal
+    return apply, ab.size, diagonal
 
 
 def _band_block(reduced: ReducedSystem, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -882,7 +955,8 @@ def _factor_block(layout: _BandLayout, data: np.ndarray):
 
     A band Cholesky factors the block's storage in place. Where LAPACK
     rejects it, the columns its attempt changed are filled again, and the
-    tiled LDL^T (``_band_ldlt``) factors the same storage.
+    tiled LDL^T (``_band_ldlt``) factors the same storage in place too, so
+    either factor is the storage.
     """
     ab = layout.storage(data)
     factored = _band_cholesky(ab)
@@ -914,13 +988,14 @@ def solve(reduced: ReducedSystem, compute_inertia: bool = True) -> Solution:
     definite block takes LAPACK's band Cholesky (``_band_cholesky``), any
     other, its storage filled again where the rejected attempt changed it,
     a tiled LDL^T with Bunch-Kaufman pivots inside each tile
-    (``_band_ldlt``), whose verdict is final. One rule reads the pivots of
-    the factors (squared diagonals of a Cholesky factor, D's eigenvalues of
-    an LDL^T): a zero pivot (see ``_inertia``) marks a rigid mode and
-    raises, also under a zero load, and the signs are the inertia, as the
-    blocks together are congruent to the reduced matrix. A residual above
-    1e-10 times the load norm takes one step of iterative refinement, on
-    the blocks the load excites.
+    (``_band_ldlt``), whose verdict is final. Either factor overwrites the
+    block's band storage. One rule reads the pivots of the factors (squared
+    diagonals of a Cholesky factor, D's eigenvalues of an LDL^T): a zero
+    pivot (see ``_inertia``) marks a rigid mode and raises, also under a
+    zero load, and the signs are the inertia, as the blocks together are
+    congruent to the reduced matrix. A residual above 1e-10 times the load
+    norm takes one step of iterative refinement, on the blocks the load
+    excites.
 
     Args:
         reduced: system after constraint elimination.

@@ -306,9 +306,13 @@ def coo_assembly(mesh, cell_matrix) -> scipy.sparse.csr_matrix:
     ).tocsr()
 
 
-def sliced_reduction(stiffness, free: np.ndarray) -> scipy.sparse.csr_matrix:
-    """K[free][:, free] by scipy's fancy indexing, rows and columns in the given order."""
-    return stiffness.tocsr()[free][:, free].tocsr()
+def sliced_reduction(stiffness, free: np.ndarray, columns=None) -> scipy.sparse.csr_matrix:
+    """K[free][:, columns] by scipy's fancy indexing, rows and columns in the given order.
+
+    ``columns`` defaults to ``free``; the fixed DOFs give the coupling that
+    moves prescribed values to the right-hand side.
+    """
+    return stiffness.tocsr()[free][:, free if columns is None else columns].tocsr()
 
 
 def field_rows(mesh, solution, field) -> np.ndarray:

@@ -506,6 +506,58 @@ class TestReducedStencil:
         with pytest.raises(ValueError):
             reduce_stencil(mesh, np.zeros(mesh.n_dofs), Constraints.from_pairs([(mesh.n_dofs, 0.0)]))
 
+    @pytest.mark.parametrize(
+        "nx,ny,pins",
+        [
+            (3, 8, "left"),  # a whole fixed edge, nx < ny: rows
+            (8, 3, "left"),  # the same edge, nx >= ny: columns
+            (4, 4, "bottom x"),  # an edge fixed in x alone: columns
+            (2, 7, "random"),  # random pins in random order: rows
+            (7, 2, "random"),  # and columns
+            (1, 1, "random"),  # one cell
+        ],
+    )
+    def test_coupling_matches_the_sliced_oracle(self, nx, ny, pins, rng):
+        # the free rows' entries in the fixed columns come from the pattern's
+        # own pass, in fixed's order and each row's in the global order, as
+        # slicing the global matrix gives them
+        mesh = build_mesh(LatticeSpec(nx, ny, 0.1))
+        grid = np.arange(mesh.n_particles).reshape(ny + 1, nx + 1)
+        if pins == "random":
+            dofs = rng.choice(mesh.n_dofs, size=max(2, mesh.n_dofs // 5), replace=False)
+        else:
+            dofs = {"left": (2 * grid[:, :1] + [0, 1]).ravel(), "bottom x": 2 * grid[0]}[pins]
+        constraints = Constraints(dofs, rng.uniform(-1e-3, 1e-3, dofs.size))
+        forces = rng.standard_normal(mesh.n_dofs)
+        stencil = reduce_stencil(mesh, forces, constraints)
+        assert stencil.coupling.shape == (stencil.pattern.free.size, dofs.size)
+        random_cell = rng.integers(-1000, 1000, (8, 8)).astype(float)
+        random_cell += random_cell.T
+        for matrix in (random_cell, cell_matrix(modified_set())):
+            stiffness = coo_assembly(mesh, matrix)
+            free = stencil.pattern.free
+            oracle = sliced_reduction(stiffness, free, dofs)
+            coupling = lsm2d.lattice._fill(stencil.coupling, stencil_values(matrix))
+            for name in ("indptr", "indices", "data"):
+                ours, theirs = getattr(coupling, name), getattr(oracle, name)
+                assert ours.dtype == theirs.dtype, name
+                assert ours.tobytes() == theirs.tobytes(), name
+            rhs = forces[free] - oracle @ constraints.values
+            filled = stencil.fill(stencil_values(matrix))
+            assert filled.rhs.dtype == rhs.dtype and filled.rhs.tobytes() == rhs.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forces_are_rejected_where_they_act(self, value):
+        # a bad force on a fixed DOF used to be dropped with its row, and one
+        # on a free DOF to read as an overflow of the filled system
+        mesh = build_mesh(LatticeSpec(3, 2, 1.0))
+        pinned = Constraints.from_pairs(fix_nodes([0], "xy"))
+        for dof in (1, mesh.n_dofs - 1):  # fixed, then free
+            forces = np.zeros(mesh.n_dofs)
+            forces[dof] = value
+            with pytest.raises(ValueError, match=f"forces are not finite: {value} on DOF {dof}$"):
+                reduce_stencil(mesh, forces, pinned)
+
     def test_fill_rejects_a_matrix_or_load_that_is_not_finite(self):
         # finite stiffnesses near the float maximum: the table's sums of
         # several cells overflow, silently, while single contributions stay
@@ -1375,16 +1427,23 @@ class TestBandCholesky:
         with pytest.raises(ValueError, match="argument 1 of dpbtrf"):
             solve(reduced)
 
-    def test_the_rejected_band_is_freed_before_its_refill(self):
-        # the tiled LDL^T's tiles and couplings are most of the solve's peak;
-        # beside them one band storage is live at a time: the rejected band
-        # is filled again in place. When the LDL^T ran inside an exception
-        # handler, the traceback kept the rejected band: 2.13 bands beside
-        # the factor
+    def test_the_rejected_band_is_freed_before_its_refill(self, monkeypatch):
+        # one band storage is live at a time: the rejected band is filled
+        # again in place, and the tiled LDL^T factors it in place. When the
+        # LDL^T ran inside an exception handler, the traceback kept the
+        # rejected band: 2.13 bands beside the factor
         reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64)))
         solve(reduced, compute_inertia=False)  # builds the one layout the load needs
         [layout] = reduced.layouts.values()
         band = 8 * (layout.u + 1) * layout.rows.size
+        factored = []
+
+        def spied(ab):
+            factored.append(ab.shape)
+            return ldlt(ab)
+
+        ldlt = lsm2d.lattice._band_ldlt
+        monkeypatch.setattr(lsm2d.lattice, "_band_ldlt", spied)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1392,9 +1451,10 @@ class TestBandCholesky:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # Cholesky rejected the block: the factor is the LDL^T's tiles
-        assert solution.factor_nnz != band // 8
-        assert peak - 8 * solution.factor_nnz <= 1.5 * band
+        # Cholesky rejected the block, and the LDL^T factored its storage
+        assert factored == [(layout.u + 1, layout.rows.size)]
+        assert 8 * solution.factor_nnz == band
+        assert peak <= 1.25 * band
 
     def test_a_block_factored_for_its_pivots_alone_is_freed(self):
         # with the inertia on both blocks are factored, but the odd load
@@ -1413,6 +1473,38 @@ class TestBandCholesky:
             tracemalloc.stop()
         assert solution.indefinite and solution.factor_nnz > 1.9 * kept
         assert peak - 8 * kept <= 1.5 * band
+
+    @pytest.mark.parametrize("compute_inertia", [False, True])
+    def test_an_indefinite_solve_peaks_near_one_band_storage(self, compute_inertia):
+        # the tiled LDL^T's factor is the band storage it came from: the
+        # solve holds about one band storage, where the tiles' factors and
+        # couplings held 3.10 (3.13 with the inertia)
+        reduced = apply_constraints(*loaded_case(CANTILEVER, BORN, 0.45, PLANE_STRESS, (256, 64)))
+        solve(reduced)  # builds both layouts
+        band = max(8 * (layout.u + 1) * layout.rows.size for layout in reduced.layouts.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solution = solve(reduced, compute_inertia=compute_inertia)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert solution.residual <= 1e-10 * np.linalg.norm(reduced.rhs)
+        assert peak <= 1.3 * band
+
+    def test_both_factors_store_the_band(self):
+        # with the inertia both blocks are factored: band Cholesky for the
+        # modified model, the tiled LDL^T for Born past its threshold, and
+        # each stores (half-bandwidth + 1) x size values
+        counts = {}
+        for model, nu in ((MODIFIED, 0.3), (BORN, 0.45)):
+            reduced = apply_constraints(*loaded_case(CANTILEVER, model, nu, PLANE_STRESS, (64, 16)))
+            solution = solve(reduced)
+            bands = sum((layout.u + 1) * layout.rows.size for layout in reduced.layouts.values())
+            assert solution.factor_nnz == bands
+            counts[model] = solution.factor_nnz, solution.inertia
+        assert counts[MODIFIED][0] == counts[BORN][0]
+        assert counts[MODIFIED][1][0] == 0 and counts[BORN][1] == (42, 0, 2134)
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_a_rejected_band_is_refilled_where_cholesky_changed_it(self, monkeypatch, regime):
@@ -1716,11 +1808,9 @@ class TestBandLDLT:
             x = apply(rhs)
             backward = np.linalg.norm(dense @ x - rhs) / (np.linalg.norm(dense) * np.linalg.norm(x))
             assert backward <= 1e-12, n
-            # every tile keeps its factor and its coupling X_k = S_k^-1 C_k
-            u = ab.shape[0] - 1
-            b = u + (u < 2)
-            tiles = [(min(b, n - r0), min(b, max(n - r0 - b, 0))) for r0 in range(0, n, b)]
-            assert stored == sum(m * (m + next_m) for m, next_m in tiles)
+            # the tiles' factors overwrite the band storage they came from,
+            # which is then the whole factor, as a band Cholesky's
+            assert stored == ab.size
 
     def test_an_exactly_zero_pivot_or_a_non_finite_value_raises(self):
         def raises(dense):
